@@ -5,6 +5,12 @@ Verified when no table up to the size budget satisfies its hypotheses while
 violating a conclusion; a non-implication claim must instead produce such a
 counterexample at or below the size where the source exhibits one.
 
+The search pins the cells of (Re), (M) and (L) among the hypotheses, prunes
+with the other non-bounded hypotheses, and decides its leaves in buffered
+batches (``search._search_batched``): boundedness, bounded-only hypotheses and
+conclusions through the props batch masks, proper membership through
+signature bits.  Each outcome records how many tables it examined per size.
+
 A Verified verdict here is finite evidence, not proof: the search is
 exhaustive only up to the stated size.  Claims are identified by semantic
 content (stable string ids), not by the source's item numbers, whose internal
@@ -13,15 +19,16 @@ cross-references drift.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .classes import REGISTRY
-from .core import BOUNDED_PROPS, Claim, ClaimStatus, PropertyId, Table, default_names
-from .props import FORMULAS, find_zero
-from .search import MAX_SIZE, SizeTooLarge, _dfs
+from .core import BOUNDED_PROPS, Claim, ClaimStatus, PropertyId, Table
+from .props import FORMULAS, _first_witness, _violation_mask, find_zero_bulk
+from .search import MAX_SIZE, SizeTooLarge, _check_jobs, _proper_mask, _search_batched
 
 __all__ = [
     "CLAIMS",
@@ -282,6 +289,8 @@ class VerifyOutcome:
     conclusion: Optional[PropertyId] = None
     witness: Optional[tuple[int, ...]] = None
     elapsed: float = 0.0
+    #: Tables examined at each size, summed over the searched directions.
+    tables_examined: dict[int, int] = field(default_factory=dict)
 
     @property
     def passed_as_theorem(self) -> bool:
@@ -307,64 +316,53 @@ def _structural_fixed(n: int, hyps: frozenset[PropertyId]) -> dict[int, int]:
     return fixed
 
 
-def _holds_on(table: Table, prop: PropertyId, zero: Optional[int]) -> Optional[tuple[int, ...]]:
-    """First violating assignment of ``prop`` on ``table`` in lex order."""
-    formula = FORMULAS[prop]
-    n = table.size
-    for assignment in itertools.product(range(n), repeat=formula.arity):
-        if not formula.holds_at(table, assignment, zero):
-            return assignment
-    return None
-
-
 def _search_counterexample(claim: Claim, hyps, conclusions, n: int):
-    """Least table of size n satisfying hyps and violating some conclusion."""
+    """Least table of size n satisfying hyps and violating some conclusion,
+    as ``(table, conclusion, witness)`` or None, and the tables examined."""
     core_hyps = frozenset(h for h in hyps if h not in BOUNDED_PROPS)
-    bounded_hyps = tuple(h for h in hyps if h in BOUNDED_PROPS)
+    bounded_hyps = [FORMULAS[h] for h in hyps if h in BOUNDED_PROPS]
     needs_bounded = claim.bounded_only or bool(bounded_hyps) or any(
         c in BOUNDED_PROPS for c in conclusions
     )
     fixed = _structural_fixed(n, core_hyps)
     residual = [h for h in core_hyps if h not in (P.Re, P.M, P.L)]
+    if claim.kind == "proper_empty":
+        cdef = REGISTRY.get(claim.proper_class)
+        # the DFS already enforces the required properties among the hypotheses
+        proper_args = (cdef.required - core_hyps, cdef.proper_forbidden)
     hit: list = []
 
-    def leaf(cells):
-        rows = tuple(tuple(cells[x * n : (x + 1) * n]) for x in range(n))
-        table = Table(rows, default_names_cache[n])
+    def consume(T) -> bool:
         zero = None
         if needs_bounded:
-            zb = find_zero(table)
-            if zb is None or not zb[1]:
-                return True  # outside the bounded domain
-            zero = zb[0]
-            for h in bounded_hyps:
-                if _holds_on(table, h, zero) is not None:
-                    return True  # hypothesis fails, not a counterexample
+            zero, keep = find_zero_bulk(T)
+            for formula in bounded_hyps:
+                keep &= ~_violation_mask(formula, T, zero).reshape(len(T), -1).any(axis=1)
+            T, zero = T[keep], zero[keep]
+            if not len(T):
+                return True
         if claim.kind == "proper_empty":
-            sig_proper = _leaf_proper(table, claim.proper_class)
-            if sig_proper:
-                hit.append((table, conclusions[0], ()))
-                return False
-            return True
+            rows = np.flatnonzero(_proper_mask(T, *proper_args))
+            if rows.size:
+                hit.append((T[rows[0]], conclusions[0], ()))
+            return not rows.size
+        best = None  # (row, conclusion, violation mask of that row)
         for concl in conclusions:
-            w = _holds_on(table, concl, zero)
-            if w is not None:
-                hit.append((table, concl, w))
-                return False
-        return True
+            viol = _violation_mask(FORMULAS[concl], T, zero).reshape(len(T), -1)
+            rows = np.flatnonzero(viol.any(axis=1))
+            if rows.size and (best is None or rows[0] < best[0]):
+                best = (rows[0], concl, viol[rows[0]])
+        if best is None:
+            return True
+        row, concl, viol_row = best
+        hit.append((T[row], concl, _first_witness(viol_row, FORMULAS[concl].arity, n)))
+        return False
 
-    _dfs(n, fixed, residual, leaf)
-    return hit[0] if hit else None
-
-
-def _leaf_proper(table: Table, class_id: str) -> bool:
-    from .props import eval_all
-
-    return REGISTRY.is_proper(eval_all(table), class_id)
-
-
-_NAMES = {n: default_names(n) for n in range(1, MAX_SIZE + 1)}
-default_names_cache = _NAMES
+    examined = _search_batched(n, fixed, residual, consume)
+    if not hit:
+        return None, examined
+    cells, concl, witness = hit[0]
+    return (Table.make(cells.tolist()), concl, witness), examined
 
 
 #: Hypotheses that prune hard enough to afford size-4 verification when (M)
@@ -427,10 +425,12 @@ def verify_claim(
         max_size = default_max_size(claim)
     _check_budget(claim, max_size)
     oid = claim.id if direction is None else f"{claim.id}.{direction}"
+    examined: dict[int, int] = {}
     t0 = time.perf_counter()
     for n in range(1, max_size + 1):
         for _tag, hyps, concls in _directions(claim, direction):
-            found = _search_counterexample(claim, hyps, concls, n)
+            found, count = _search_counterexample(claim, hyps, concls, n)
+            examined[n] = examined.get(n, 0) + count
             if found is not None:
                 table, concl, witness = found
                 return VerifyOutcome(
@@ -442,8 +442,11 @@ def verify_claim(
                     conclusion=concl,
                     witness=witness,
                     elapsed=time.perf_counter() - t0,
+                    tables_examined=examined,
                 )
-    return VerifyOutcome(oid, "verified", max_size, elapsed=time.perf_counter() - t0)
+    return VerifyOutcome(
+        oid, "verified", max_size, elapsed=time.perf_counter() - t0, tables_examined=examined
+    )
 
 
 def refute(claim: Claim, max_size: Optional[int] = None) -> VerifyOutcome:
@@ -454,7 +457,13 @@ def refute(claim: Claim, max_size: Optional[int] = None) -> VerifyOutcome:
         max_size = default_max_size(claim)
     outcome = verify_claim(claim, max_size)
     if outcome.status == "verified":
-        return VerifyOutcome(claim.id, "not-found", max_size, elapsed=outcome.elapsed)
+        return VerifyOutcome(
+            claim.id,
+            "not-found",
+            max_size,
+            elapsed=outcome.elapsed,
+            tables_examined=outcome.tables_examined,
+        )
     return outcome
 
 
@@ -506,6 +515,7 @@ class ClaimsReport:
                     "max_size": o.max_size,
                     "size": o.size,
                     "witness": list(o.witness) if o.witness is not None else None,
+                    "tables_examined": {str(n): k for n, k in o.tables_examined.items()},
                     "elapsed_s": round(o.elapsed, 4),
                 }
                 for o in self.outcomes
@@ -525,6 +535,7 @@ def verify_all(
 
     Equivalence claims appear twice in the report, once per direction.
     """
+    _check_jobs(jobs)
     budgets = budgets or {}
     todo = list(claims) if claims is not None else list(CLAIMS)
     args = []

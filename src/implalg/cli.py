@@ -22,6 +22,7 @@ from .search import (
     BaseConstraint,
     CensusReport,
     SizeTooLarge,
+    UnsupportedFilter,
     census,
     census_filtered,
     enumerate_tables,
@@ -313,6 +314,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs is None:
         args.jobs = _default_jobs()
+    if args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.fn(args)
     except ParseError as e:
@@ -321,7 +325,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FileNotFoundError as e:
         print(f"cannot read {e.filename}", file=sys.stderr)
         return EXIT_USAGE
-    except (KeyError, UnknownClass) as e:
+    except (KeyError, UnknownClass, UnsupportedFilter) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except SizeTooLarge as e:

@@ -6,7 +6,8 @@ an equation, a Horn conditional, or a biconditional.  The same definition
 drives three consumers:
 
   * scalar verdicts with lexicographically least violating witnesses,
-  * batch evaluation over many tables at once (numpy, used by the census),
+  * batch evaluation over many tables at once (numpy, used by the census
+    and by every search leaf check),
   * instance compilation for the pruned enumerator (see search module).
 
 Witnesses are reported in the property's printed variable order (x, y, z),
@@ -38,6 +39,7 @@ __all__ = [
     "eval_bounded_property",
     "eval_all",
     "find_zero",
+    "find_zero_bulk",
     "signature_bits_bulk",
     "needed_props",
 ]
@@ -239,6 +241,19 @@ def find_zero(table: Table) -> Optional[tuple[int, bool]]:
         return None
     l_holds = all(table.cells[x][one] == one for x in range(n))
     return zeros[0], l_holds
+
+
+def find_zero_bulk(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``find_zero`` over a (B, n, n) batch: ``(zero, bounded)`` arrays.
+
+    ``bounded[b]`` holds when table b has exactly one all-1 row and (L)
+    holds; ``zero[b]`` is then that row's index (elsewhere it is a valid
+    index with no meaning).
+    """
+    one = T.shape[1] - 1
+    full = (T == one).all(axis=2)
+    bounded = (full.sum(axis=1) == 1) & (T[:, :, one] == one).all(axis=1)
+    return full.argmax(axis=1), bounded
 
 
 def eval_property(table: Table, prop: PropertyId) -> EvalResult:

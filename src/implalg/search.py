@@ -7,6 +7,13 @@ re-evaluated exactly when the cell it is blocked on gets assigned (a pending
 list per search depth, with trail-based undo), so a partial table is abandoned
 as soon as any fully-assigned instance is violated.
 
+Leaf checks are batched: ``_search_batched`` collects the DFS leaves into
+buffers of LEAF_BUFFER tables and hands each buffer, in visitation order, to
+a consumer that decides all of its tables at once with the numpy masks of the
+props module.  Filtered censuses, ``find_minimal_model`` and the claims search
+all go through it, so the first hit in buffer order is the lexicographically
+least table.
+
 Unfiltered censuses take a separate vectorized path: all candidate tables of a
 lexicographic index range are materialized as one numpy batch and classified
 via signature bit masks.  Both paths agree; the test suite checks pruned
@@ -23,12 +30,13 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import PropertyId, Table, default_names, signature_bit
+from .core import BOUNDED_PROPS, PropertyId, Table, default_names, signature_bit
 from .classes import REGISTRY, ClassRegistry
 from .props import FORMULAS, needed_props, signature_bits_bulk
 
 __all__ = [
     "SizeTooLarge",
+    "UnsupportedFilter",
     "CallbackAbort",
     "BaseConstraint",
     "WorkUnit",
@@ -45,6 +53,10 @@ MAX_SIZE = 6
 
 class SizeTooLarge(ValueError):
     pass
+
+
+class UnsupportedFilter(ValueError):
+    """A bounded-only property (DN, G1..G8) was asked for as a search filter."""
 
 
 class CallbackAbort(Exception):
@@ -90,6 +102,19 @@ _STRUCTURAL = {
     BaseConstraint.RM: frozenset({PropertyId.Re, PropertyId.M}),
     BaseConstraint.RML: frozenset({PropertyId.Re, PropertyId.M, PropertyId.L}),
 }
+
+
+def _check_filter(props) -> None:
+    bad = sorted(p.value for p in props if p in BOUNDED_PROPS)
+    if bad:
+        raise UnsupportedFilter(
+            f"bounded-only properties cannot be search filters: {', '.join(bad)}"
+        )
+
+
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
 
 
 def _check_size(n: int, filter_props) -> None:
@@ -188,7 +213,7 @@ def compile_instances(props: Iterable[PropertyId], n: int) -> list:
     for prop in props:
         formula = FORMULAS[prop]
         if formula.uses_zero or formula.kind == "iff":
-            raise ValueError(f"{prop} cannot be used as a search filter")
+            raise UnsupportedFilter(f"{prop} cannot be used as a search filter")
         arity = formula.arity
         assignments = np.indices((n,) * arity).reshape(arity, -1).T
         for row in assignments:
@@ -329,6 +354,51 @@ def _dfs(
     return count
 
 
+#: Leaves per buffer handed to a batch consumer.  The kernel's per-table cost
+#: is flat from 256 leaves up, while its (B, n, n, n) intermediates grow with
+#: the buffer, so a larger buffer only costs memory.
+LEAF_BUFFER = 256
+
+
+def _search_batched(
+    n: int,
+    fixed: dict[int, int],
+    filter_props: Sequence[PropertyId],
+    consume: Callable[[np.ndarray], bool],
+    prefixes: Sequence[Sequence[int]] = ((),),
+) -> int:
+    """Run the pruned DFS under each of ``prefixes`` in turn and hand its
+    leaves to ``consume`` in visitation order, as (B, n, n) int64 arrays of
+    LEAF_BUFFER tables (the last one may be shorter).
+
+    ``consume`` returns False to stop the search.  Returns the number of
+    leaves visited, which includes the rest of the buffer that stopped it.
+    """
+    buf: list[int] = []
+    width = LEAF_BUFFER * n * n
+    stopped = False
+
+    def flush() -> bool:
+        nonlocal stopped
+        T = np.array(buf, dtype=np.int64).reshape(-1, n, n)
+        buf.clear()
+        stopped = consume(T) is False
+        return not stopped
+
+    def leaf(cells) -> bool:
+        buf.extend(cells)
+        return len(buf) < width or flush()
+
+    count = 0
+    for prefix in prefixes:
+        count += _dfs(n, fixed, filter_props, leaf, prefix)
+        if stopped:
+            return count
+    if buf:
+        flush()
+    return count
+
+
 def _fixed_for(n: int, base: BaseConstraint, filter_props) -> tuple[dict[int, int], list[PropertyId]]:
     fixed = base.fixed_cells(n)
     residual = [p for p in (filter_props or ()) if p not in _STRUCTURAL[base]]
@@ -351,6 +421,7 @@ def enumerate_tables(
     returned.
     """
     filter_props = tuple(filter) if filter else ()
+    _check_filter(filter_props)
     _check_size(size, filter_props)
     fixed, residual = _fixed_for(size, base, filter_props)
     tnames = tuple(names) if names else default_names(size)
@@ -445,26 +516,45 @@ class CensusReport:
         }
 
 
-def _class_masks(registry: ClassRegistry):
-    req_masks = {}
-    forb_masks = {}
-    for d in registry.defs:
-        req = 0
-        for p in d.required:
-            req |= 1 << signature_bit(p)
-        req_masks[d.id] = np.uint64(req)
-        if d.proper_forbidden is not None:
-            forb = 0
-            for p in d.proper_forbidden:
-                forb |= 1 << signature_bit(p)
-            forb_masks[d.id] = np.uint64(forb)
-    return req_masks, forb_masks
+def _prop_mask(props: Iterable[PropertyId]) -> np.uint64:
+    mask = 0
+    for p in props:
+        mask |= 1 << signature_bit(p)
+    return np.uint64(mask)
 
 
-def _census_props(registry: ClassRegistry):
-    sets = [d.required for d in registry.defs]
-    sets += [d.proper_forbidden for d in registry.defs if d.proper_forbidden]
-    return needed_props(*sets)
+def _proper_mask(T: np.ndarray, required, forbidden) -> np.ndarray:
+    """Which tables of the (B, n, n) batch satisfy every ``required`` core
+    property and none of the ``forbidden`` ones."""
+    req, forb = _prop_mask(required), _prop_mask(forbidden)
+    bits = signature_bits_bulk(T, needed_props(required, forbidden))
+    return ((bits & req) == req) & ((bits & forb) == 0)
+
+
+class _Tally:
+    """Per-class and per-proper member counts over batches of tables."""
+
+    def __init__(self, registry: ClassRegistry = REGISTRY):
+        sets = [d.required for d in registry.defs]
+        sets += [d.proper_forbidden for d in registry.defs if d.proper_forbidden]
+        self.props = needed_props(*sets)
+        self.req_masks = {d.id: _prop_mask(d.required) for d in registry.defs}
+        self.forb_masks = {
+            d.id: _prop_mask(d.proper_forbidden)
+            for d in registry.defs
+            if d.proper_forbidden is not None
+        }
+        self.per_class = dict.fromkeys(self.req_masks, 0)
+        self.per_proper = dict.fromkeys(self.forb_masks, 0)
+
+    def add(self, T: np.ndarray) -> None:
+        bits = signature_bits_bulk(T, self.props)
+        for cid, req in self.req_masks.items():
+            member = (bits & req) == req
+            self.per_class[cid] += int(member.sum())
+            forb = self.forb_masks.get(cid)
+            if forb is not None:
+                self.per_proper[cid] += int((member & ((bits & forb) == 0)).sum())
 
 
 def _batch_tables(n: int, base: BaseConstraint, lo: int, hi: int) -> np.ndarray:
@@ -484,23 +574,13 @@ _CHUNK = 1 << 15
 
 
 def _census_range(n: int, base: BaseConstraint, lo: int, hi: int) -> CensusReport:
-    registry = REGISTRY
-    props = _census_props(registry)
-    req_masks, forb_masks = _class_masks(registry)
-    per_class = {d.id: 0 for d in registry.defs}
-    per_proper = {d.id: 0 for d in registry.defs if d.proper_forbidden is not None}
+    tally = _Tally()
     t0 = time.perf_counter()
     for start in range(lo, hi, _CHUNK):
-        stop = min(start + _CHUNK, hi)
-        T = _batch_tables(n, base, start, stop)
-        bits = signature_bits_bulk(T, props)
-        for cid, req in req_masks.items():
-            member = (bits & req) == req
-            per_class[cid] += int(member.sum())
-            forb = forb_masks.get(cid)
-            if forb is not None:
-                per_proper[cid] += int((member & ((bits & forb) == 0)).sum())
-    return CensusReport(n, base, hi - lo, per_class, per_proper, time.perf_counter() - t0)
+        tally.add(_batch_tables(n, base, start, min(start + _CHUNK, hi)))
+    return CensusReport(
+        n, base, hi - lo, tally.per_class, tally.per_proper, time.perf_counter() - t0
+    )
 
 
 def _census_worker(args):
@@ -514,6 +594,7 @@ def census(size: int, base: BaseConstraint, jobs: int = 1, shards: Optional[int]
     ``shards`` forces a particular work partition (the merge is deterministic
     regardless); ``jobs`` runs shards in parallel processes.
     """
+    _check_jobs(jobs)
     _check_size(size, None)
     nfree = len(base.free_cells(size))
     total = size**nfree
@@ -556,43 +637,12 @@ def _filtered_unit(args) -> CensusReport:
     n, base_value, filter_values, prefixes = args
     base = BaseConstraint(base_value)
     filter_props = tuple(PropertyId(v) for v in filter_values)
-    registry = REGISTRY
-    props = _census_props(registry)
-    req_masks, forb_masks = _class_masks(registry)
-    per_class = {d.id: 0 for d in registry.defs}
-    per_proper = {d.id: 0 for d in registry.defs if d.proper_forbidden is not None}
-    buffer: list[tuple[int, ...]] = []
-    total = 0
-    t0 = time.perf_counter()
-
-    def flush():
-        if not buffer:
-            return
-        T = np.asarray(buffer, dtype=np.int64).reshape(len(buffer), n, n)
-        bits = signature_bits_bulk(T, props)
-        for cid, req in req_masks.items():
-            member = (bits & req) == req
-            per_class[cid] += int(member.sum())
-            forb = forb_masks.get(cid)
-            if forb is not None:
-                per_proper[cid] += int((member & ((bits & forb) == 0)).sum())
-        buffer.clear()
-
     fixed, residual = _fixed_for(n, base, filter_props)
-
-    def leaf(cells):
-        nonlocal total
-        total += 1
-        buffer.append(tuple(cells))
-        if len(buffer) >= 4096:
-            flush()
-        return True
-
-    for prefix in prefixes or ((),):
-        _dfs(n, fixed, residual, leaf, prefix)
-    flush()
+    tally = _Tally()
+    t0 = time.perf_counter()
+    total = _search_batched(n, fixed, residual, tally.add, prefixes or ((),))
     return CensusReport(
-        n, base, total, per_class, per_proper, time.perf_counter() - t0, filter_props
+        n, base, total, tally.per_class, tally.per_proper, time.perf_counter() - t0, filter_props
     )
 
 
@@ -605,6 +655,8 @@ def census_filtered(
 ) -> CensusReport:
     """Census restricted to tables satisfying ``filter`` (pruned search)."""
     filter_props = tuple(filter)
+    _check_jobs(jobs)
+    _check_filter(filter_props)
     _check_size(size, filter_props)
     units = partition_work(size, base, max(1, shards if shards is not None else jobs))
     args = [
@@ -652,43 +704,26 @@ def find_minimal_model(
         raise SizeTooLarge(f"max_size {max_size} outside supported range 1..{MAX_SIZE}")
     cdef = registry.get(class_id)
     required = cdef.required | frozenset(extra)
+    _check_filter(required)
     forbidden = cdef.proper_forbidden if proper else None
     if proper and forbidden is None:
         from .classes import UnknownClass
 
         raise UnknownClass(f"{class_id} has no proper-variant definition")
 
+    base = base_for_required(required)
     for n in range(1, max_size + 1):
-        base = base_for_required(required)
-        found: list[Table] = []
+        _check_size(n, required)
+        fixed, residual = _fixed_for(n, base, required)
+        found: list[np.ndarray] = []
 
-        def visitor(table: Table) -> bool:
-            if forbidden:
-                for prop in forbidden:
-                    if _holds_everywhere(table, prop):
-                        return True  # not proper, keep searching
-            found.append(table)
-            raise CallbackAbort
+        def consume(T: np.ndarray) -> bool:
+            hits = np.flatnonzero(_proper_mask(T, (), forbidden or ()))
+            if hits.size:
+                found.append(T[hits[0]])
+            return not hits.size
 
-        enumerate_tables(n, base, required, visitor)
+        _search_batched(n, fixed, residual, consume)
         if found:
-            return found[0]
+            return Table.make(found[0].tolist())
     return None
-
-
-def _holds_everywhere(table: Table, prop: PropertyId) -> bool:
-    formula = FORMULAS[prop]
-    n = table.size
-    arity = formula.arity
-    assignment = [0] * arity
-    return _walk_holds(formula, table, assignment, 0, arity, n)
-
-
-def _walk_holds(formula, table, assignment, k, arity, n) -> bool:
-    if k == arity:
-        return formula.holds_at(table, assignment)
-    for v in range(n):
-        assignment[k] = v
-        if not _walk_holds(formula, table, assignment, k + 1, arity, n):
-            return False
-    return True

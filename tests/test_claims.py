@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracle import oracle_witness
+from oracle import oracle_witness, oracle_zero
 
 from implalg import PropertyId as P
 from implalg import Table, eval_property
@@ -14,6 +14,7 @@ from implalg.claims import (
     verify_all,
     verify_claim,
 )
+from implalg.classes import REGISTRY
 from implalg.core import Claim, ClaimStatus
 from implalg.search import SizeTooLarge
 
@@ -73,32 +74,67 @@ def test_counterexample_soundness():
         assert res.witness == out.witness
 
 
-def _naive_least_counterexample(hyps, concl, max_size):
-    hyp_names = [h.value for h in hyps]
+def _naive_least_counterexample(claim, max_size):
+    """(cells, conclusion, witness) of the least counterexample found by a
+    full unpruned sweep with the oracle, or None."""
+    props = claim.hypotheses | set(claim.conclusions)
+    needs_bounded = claim.bounded_only or any(p.bounded_only for p in props)
     for n in range(1, max_size + 1):
         for combo in itertools.product(range(n), repeat=n * n):
-            cells = [list(combo[i * n : (i + 1) * n]) for i in range(n)]
-            t = Table.make(cells)
-            if any(oracle_witness(t, h) is not None for h in hyp_names):
+            t = Table.make([combo[i * n : (i + 1) * n] for i in range(n)])
+            zb = oracle_zero(t)
+            zero = zb[0] if zb and zb[1] else None
+            if needs_bounded and zero is None:
                 continue
-            if oracle_witness(t, concl.value) is not None:
-                return t.cells
+
+            def holds(p):
+                return oracle_witness(t, p.value, zero) is None
+
+            if not all(holds(h) for h in claim.hypotheses):
+                continue
+            if claim.kind == "proper_empty":
+                cdef = REGISTRY.get(claim.proper_class)
+                if all(holds(p) for p in cdef.required) and not any(
+                    holds(p) for p in cdef.proper_forbidden
+                ):
+                    return t.cells, claim.conclusions[0], ()
+                continue
+            for concl in claim.conclusions:
+                w = oracle_witness(t, concl.value, zero)
+                if w is not None:
+                    return t.cells, concl, w
     return None
 
 
 @pytest.mark.parametrize(
-    "hyps,concl",
-    [({P.L, P.An}, P.N), ({P.Re}, P.M), ({P.K}, P.L), ({P.Ex, P.B}, P.BB)],
+    "hyps,concls,kw",
+    [
+        pytest.param({P.L, P.An}, (P.N,), {}, id="hyps0-N"),
+        pytest.param({P.Re}, (P.M,), {}, id="hyps1-M"),
+        pytest.param({P.K}, (P.L,), {}, id="hyps2-L"),
+        pytest.param({P.Ex, P.B}, (P.BB,), {}, id="hyps3-BB"),
+        pytest.param({P.Re}, (P.G1,), {"bounded_only": True}, id="bounded-only"),
+        pytest.param({P.DN}, (P.Ex,), {}, id="DN-hypothesis"),
+        # the least counterexample satisfies Tr and violates both Ex and B
+        pytest.param({P.Re, P.M, P.L}, (P.Tr, P.Ex, P.B), {}, id="multi-conclusion"),
+        # BB and An of BCK are no hypotheses, so the leaf check decides membership
+        pytest.param(
+            {P.Re, P.M, P.L}, (P.An,), {"kind": "proper_empty", "proper_class": "BCK"},
+            id="proper-empty",
+        ),
+    ],
 )
-def test_agrees_with_naive_sweep_at_size3(hyps, concl):
+def test_agrees_with_naive_sweep_at_size3(hyps, concls, kw):
     # independent oracle: full 3^9 loop without pruning
-    naive = _naive_least_counterexample(hyps, concl, 3)
-    out = verify_claim(_claim(hyps, (concl,)), 3)
+    claim = _claim(hyps, concls, **kw)
+    naive = _naive_least_counterexample(claim, 3)
+    out = verify_claim(claim, 3)
     if naive is None:
         assert out.status == "verified"
     else:
         assert out.status == "counterexample"
-        assert out.table.cells == naive  # same least counterexample
+        # same least counterexample, conclusion and witness
+        assert (out.table.cells, out.conclusion, out.witness) == naive
 
 
 def test_equivalence_directions_reported_separately():
@@ -114,6 +150,8 @@ def test_budget_guards():
         verify_claim("th2", 5)
     with pytest.raises(SizeTooLarge):
         verify_claim("th2", 0)
+    with pytest.raises(ValueError):
+        verify_all(claims=[claim_by_id("p2.1-0")], jobs=0)
     assert default_max_size(claim_by_id("th2")) == 4
     assert default_max_size(claim_by_id("p2.1-0")) == 3
     assert default_max_size(claim_by_id("ni-b-not-bb")) == 5
@@ -154,6 +192,19 @@ def test_proper_empty_counterexample_detection():
 
 def test_full_registry_verifies(claims_report):
     assert claims_report.ok, claims_report.format_text()
+
+
+def test_theorems_examined_tables_at_top_size(claims_report):
+    # a Verified verdict must rest on a non-empty search at its budget
+    from implalg.claims import _resolve
+
+    records = {r["id"]: r for r in claims_report.to_record()["claims"]}
+    for o in claims_report.outcomes:
+        if _resolve(o.claim_id).status is ClaimStatus.THEOREM:
+            assert o.tables_examined.get(o.max_size, 0) > 0, o.claim_id
+        assert records[o.claim_id]["tables_examined"] == {
+            str(n): k for n, k in o.tables_examined.items()
+        }
 
 
 def test_nonimplications_found_within_paper_size(claims_report):

@@ -190,3 +190,15 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "find", "--class", "Nope", "--max-size", "2")
     assert code == 2
+    # bounded-only properties are no search filters
+    code, _, err = run(capsys, "find", "--class", "BCK", "--max-size", "3", "--extra", "DN")
+    assert code == 2 and "bounded-only" in err
+    code, _, err = run(capsys, "census", "--size", "3", "--filter", "G7", "--jobs", "2")
+    assert code == 2 and "bounded-only" in err
+    code, _, err = run(capsys, "enumerate", "--size", "3", "--filter", "DN", "--count-only")
+    assert code == 2 and "bounded-only" in err
+    # at least one worker
+    code, _, err = run(capsys, "find", "--class", "BCK", "--max-size", "3", "--jobs", "0")
+    assert code == 2 and "--jobs" in err
+    code, _, err = run(capsys, "claims", "verify", "--claim", "p2.1-0", "--jobs", "0")
+    assert code == 2 and "--jobs" in err

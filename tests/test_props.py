@@ -10,7 +10,7 @@ from oracle import oracle_witness, oracle_zero
 from implalg import PropertyId as P
 from implalg import Table, eval_all, eval_bounded_property, eval_property, find_zero
 from implalg.core import BOUNDED_PROPS, CORE_PROPS, SIGNATURE_PROPS, signature_bit
-from implalg.props import signature_bits_bulk
+from implalg.props import find_zero_bulk, signature_bits_bulk
 from implalg.search import BaseConstraint, _batch_tables
 
 
@@ -63,6 +63,10 @@ def test_find_zero_examples(e1, one_elt):
     )
     assert find_zero(rml5) == (0, True)
     assert eval_bounded_property(rml5, P.DN).satisfied
+    # the batch form applies the same rule
+    zero, bounded = find_zero_bulk(np.array([e1.cells, t.cells, [[0, 0, 2], [2, 2, 2], [0, 1, 2]]]))
+    assert zero[0] == 1 and zero[2] == 1
+    assert bounded.tolist() == [False, False, True]
 
 
 def test_bounded_on_unbounded_is_inapplicable(e1):
@@ -98,6 +102,10 @@ def test_verdicts_and_witnesses_match_oracle(table):
 def test_bounded_verdicts_match_oracle(table):
     zb = oracle_zero(table)
     assert zb == find_zero(table)
+    zero, bounded = find_zero_bulk(np.array([table.cells]))
+    assert bool(bounded[0]) == bool(zb and zb[1])
+    if bounded[0]:
+        assert zero[0] == zb[0]
     for prop in BOUNDED_PROPS:
         res = eval_bounded_property(table, prop)
         if zb is None or not zb[1]:

@@ -1,13 +1,18 @@
+import itertools
+
 import pytest
 
 from conftest import E1_ROWS
 from oracle import oracle_witness
 
 from implalg import PropertyId as P
+from implalg import Table
+from implalg.classes import REGISTRY
 from implalg.search import (
     BaseConstraint,
     CallbackAbort,
     SizeTooLarge,
+    UnsupportedFilter,
     _check_size,
     census,
     census_filtered,
@@ -256,6 +261,31 @@ def test_filtered_census_is_base_independent():
     assert a.per_class == b.per_class and a.per_proper == b.per_proper
 
 
+def _naive_least_proper(class_ids, max_size):
+    """Least proper member of each class up to ``max_size`` by a full
+    unpruned oracle sweep, smallest size first; classes without one are
+    missing from the result."""
+    todo = {cid: REGISTRY.get(cid) for cid in class_ids}
+    found = {}
+    for n in range(1, max_size + 1):
+        for combo in itertools.product(range(n), repeat=n * n):
+            t = Table.make([combo[i * n : (i + 1) * n] for i in range(n)])
+            verdicts = {}
+
+            def holds(p):
+                if p not in verdicts:
+                    verdicts[p] = oracle_witness(t, p.value) is None
+                return verdicts[p]
+
+            for cid, d in list(todo.items()):
+                if all(holds(p) for p in d.required) and not any(
+                    holds(p) for p in d.proper_forbidden
+                ):
+                    found[cid] = t.cells
+                    del todo[cid]
+    return found
+
+
 def test_find_minimal_model_trivia():
     t = find_minimal_model("RM", 1)
     assert t is not None and t.size == 1
@@ -267,6 +297,12 @@ def test_find_minimal_model_trivia():
     # extra constraints narrow the result
     t = find_minimal_model("RM", 3, extra={P.An, P.Tr})
     assert t is not None
+    # every proper variant agrees with the oracle, least table included
+    proper_ids = [d.id for d in REGISTRY.defs if d.proper_forbidden is not None]
+    naive = _naive_least_proper(proper_ids, 3)
+    for cid in proper_ids:
+        t = find_minimal_model(cid, 3, proper=True)
+        assert (t.cells if t else None) == naive.get(cid), cid
 
 
 def test_find_minimal_model_reaches_size6_frontier():
@@ -274,8 +310,15 @@ def test_find_minimal_model_reaches_size6_frontier():
     # search settles this directly (filter Star/StarStar/Pi permits size 6)
     t = find_minimal_model("pi-*RML**", 6, proper=True)
     assert t is not None and t.size == 6
-    from implalg.classes import REGISTRY
-
+    # the lexicographically least one (frontier_cells in perfbench/pinned.json)
+    assert t.cells == (
+        (5, 1, 1, 1, 4, 5),
+        (0, 5, 2, 2, 4, 5),
+        (0, 5, 5, 5, 0, 5),
+        (0, 5, 5, 5, 0, 5),
+        (5, 1, 1, 1, 5, 5),
+        (0, 1, 2, 3, 4, 5),
+    )
     ok, _ = REGISTRY.check_proper(t, "pi-*RML**")
     assert ok
     # it is a genuinely different witness from the transcribed one
@@ -284,6 +327,19 @@ def test_find_minimal_model_reaches_size6_frontier():
 
     known = next(e.table for e in load_corpus() if e.id == "S10-kinyon-6")
     assert not are_isomorphic(t, known)
+
+
+def test_bad_requests_raise_before_searching():
+    with pytest.raises(UnsupportedFilter):
+        enumerate_tables(3, RM, {P.DN})
+    with pytest.raises(UnsupportedFilter):
+        census_filtered(3, RM, {P.G7}, jobs=2)
+    with pytest.raises(UnsupportedFilter):
+        find_minimal_model("BCK", 3, extra={P.DN})
+    with pytest.raises(ValueError):
+        census(3, RM, jobs=0)
+    with pytest.raises(ValueError):
+        census_filtered(3, RM, {P.B}, jobs=0)
 
 
 def test_find_minimal_model_unknown_proper():
