@@ -16,7 +16,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from implalg.core import PropertyId as P
-from implalg.search import BaseConstraint, census, census_filtered
+from implalg.search import BaseConstraint, census
 
 EXPECTED_SIZE3 = {
     "RM": 4, "pre-BBBZ": 2, "pre-BCI": 2, "BCI": 3, "aRM": 8, "*aRM": 8,
@@ -76,9 +76,7 @@ def main() -> int:
     print(f"  proper pre-BBBZ    {r4.per_proper['pre-BBBZ']}  (expected: many)")
 
     if args.full:
-        r5 = census_filtered(
-            5, BaseConstraint.RML, {P.B, P.BB, P.Pimpl}, jobs=args.jobs
-        )
+        r5 = census(5, BaseConstraint.RML, filter={P.B, P.BB, P.Pimpl}, jobs=args.jobs)
         got = r5.per_proper["pimpl-pre-BBBCC"]
         print(f"size 5, RML base, filter B+BB+pimpl: {r5.total} tables in {r5.elapsed:.1f}s")
         print(f"  proper pimpl-pre-BBBCC {got}  {'ok' if got == 60 else 'MISMATCH (expected 60)'}")

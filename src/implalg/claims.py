@@ -5,8 +5,9 @@ Verified when no table up to the size budget satisfies its hypotheses while
 violating a conclusion; a non-implication claim must instead produce such a
 counterexample at or below the size where the source exhibits one.
 
-The search pins the cells of (Re), (M) and (L) among the hypotheses, prunes
-with the other non-bounded hypotheses, and decides its leaves in buffered
+The search runs over the space that ``search._space`` derives from the
+non-bounded hypotheses, as every search does: the cells of (Re), (M) and (L)
+pinned, the other hypotheses pruned.  It decides its leaves in buffered
 batches (``search._search_batched``): boundedness, bounded-only hypotheses and
 conclusions through the props batch masks, proper membership through
 signature bits.  Each outcome records how many tables it examined per size.
@@ -28,7 +29,7 @@ import numpy as np
 from .classes import REGISTRY
 from .core import BOUNDED_PROPS, Claim, ClaimStatus, PropertyId, Table
 from .props import FORMULAS, _first_witness, _violation_mask, find_zero_bulk
-from .search import MAX_SIZE, SizeTooLarge, _check_jobs, _proper_mask, _search_batched
+from .search import MAX_SIZE, SizeTooLarge, _check_jobs, _proper_mask, _search_batched, _space
 
 __all__ = [
     "CLAIMS",
@@ -301,21 +302,6 @@ class VerifyOutcome:
         return self.status == "counterexample"
 
 
-def _structural_fixed(n: int, hyps: frozenset[PropertyId]) -> dict[int, int]:
-    one = n - 1
-    fixed: dict[int, int] = {}
-    if P.Re in hyps:
-        for i in range(n):
-            fixed[i * n + i] = one
-    if P.M in hyps:
-        for j in range(n):
-            fixed[one * n + j] = j
-    if P.L in hyps:
-        for i in range(n):
-            fixed[i * n + one] = one
-    return fixed
-
-
 def _search_counterexample(claim: Claim, hyps, conclusions, n: int):
     """Least table of size n satisfying hyps and violating some conclusion,
     as ``(table, conclusion, witness)`` or None, and the tables examined."""
@@ -324,8 +310,7 @@ def _search_counterexample(claim: Claim, hyps, conclusions, n: int):
     needs_bounded = claim.bounded_only or bool(bounded_hyps) or any(
         c in BOUNDED_PROPS for c in conclusions
     )
-    fixed = _structural_fixed(n, core_hyps)
-    residual = [h for h in core_hyps if h not in (P.Re, P.M, P.L)]
+    fixed, residual = _space(n, core_hyps)
     if claim.kind == "proper_empty":
         cdef = REGISTRY.get(claim.proper_class)
         # the DFS already enforces the required properties among the hypotheses

@@ -1,7 +1,8 @@
 """Command-line frontend: check, classify, enumerate, census, claims, corpus, find.
 
-Exit codes: 0 success, 1 expectation/claim failure, 2 usage or parse error,
-3 size limit exceeded.  ``--jobs`` controls search parallelism only; single
+Exit codes: 0 success, 1 expectation/claim failure, 2 usage or parse error
+(a worker count below 1 from ``--jobs`` or ALG_JOBS included), 3 size limit
+exceeded.  ``--jobs`` controls search parallelism only; single
 table commands always run serially.
 """
 
@@ -24,7 +25,6 @@ from .search import (
     SizeTooLarge,
     UnsupportedFilter,
     census,
-    census_filtered,
     enumerate_tables,
     find_minimal_model,
 )
@@ -36,13 +36,28 @@ EXIT_TOO_LARGE = 3
 
 
 def _default_jobs() -> int:
+    """ALG_JOBS where it is an integer, else the CPU count."""
     env = os.environ.get("ALG_JOBS")
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError:
             pass
     return os.cpu_count() or 1
+
+
+def _jobs_error(jobs: Optional[int]) -> Optional[str]:
+    """Why ``--jobs`` (or, without it, ALG_JOBS) is no worker count >= 1."""
+    if jobs is not None:
+        return None if jobs >= 1 else f"--jobs must be >= 1, got {jobs}"
+    env = os.environ.get("ALG_JOBS")
+    if not env:
+        return None
+    try:
+        ok = int(env) >= 1
+    except ValueError:
+        ok = False
+    return None if ok else f"ALG_JOBS must be an integer >= 1, got {env!r}"
 
 
 def _load_table(path: str) -> Table:
@@ -155,10 +170,8 @@ def _check_expectations(report: CensusReport, path: str) -> list[str]:
 
 def cmd_census(args) -> int:
     base = BaseConstraint.parse(args.base)
-    if args.filter:
-        report = census_filtered(args.size, base, _parse_props(args.filter), jobs=args.jobs)
-    else:
-        report = census(args.size, base, jobs=args.jobs)
+    filter_props = _parse_props(args.filter) if args.filter else ()
+    report = census(args.size, base, filter=filter_props, jobs=args.jobs)
     out = json.dumps(report.to_record()) if args.format == "structured" else _census_text(report)
     if args.out:
         with open(args.out, "w") as f:
@@ -312,11 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _jobs_error(args.jobs)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_USAGE
     if args.jobs is None:
         args.jobs = _default_jobs()
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.fn(args)
     except ParseError as e:

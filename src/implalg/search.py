@@ -1,7 +1,13 @@
 """Exhaustive enumeration of Cayley tables with fail-fast pruning.
 
+Every search runs over the tables of one size that satisfy a set of
+properties.  ``_space`` splits that set in two: (Re), (M) and (L) are each
+a pattern of pinned cells, and the rest is the residual that the DFS prunes
+with.  A ``BaseConstraint`` is a name for one of the paper's base sets, so
+``census(n, ANY, filter={Re, M})`` and ``census(n, RM)`` search one space.
+
 The enumerator assigns free cells row-major, depth-first, values in ascending
-order, so single-worker visitation is globally lexicographic.  Filter
+order, so single-worker visitation is globally lexicographic.  Residual
 properties are compiled into per-assignment *instances*; an instance is
 re-evaluated exactly when the cell it is blocked on gets assigned (a pending
 list per search depth, with trail-based undo), so a partial table is abandoned
@@ -10,14 +16,14 @@ as soon as any fully-assigned instance is violated.
 Leaf checks are batched: ``_search_batched`` collects the DFS leaves into
 buffers of LEAF_BUFFER tables and hands each buffer, in visitation order, to
 a consumer that decides all of its tables at once with the numpy masks of the
-props module.  Filtered censuses, ``find_minimal_model`` and the claims search
-all go through it, so the first hit in buffer order is the lexicographically
-least table.
+props module.  Censuses with a residual, ``find_minimal_model`` and the claims
+search all go through it, so the first hit in buffer order is the
+lexicographically least table.
 
-Unfiltered censuses take a separate vectorized path: all candidate tables of a
-lexicographic index range are materialized as one numpy batch and classified
-via signature bit masks.  Both paths agree; the test suite checks pruned
-against naive enumeration and sharded against single-shard censuses.
+A census without a residual needs no search: all tables of a lexicographic
+index range are materialised as one numpy batch and classified via signature
+bit masks.  Both paths agree; the test suite checks pruned against naive
+enumeration and sharded against single-shard censuses.
 """
 
 from __future__ import annotations
@@ -64,25 +70,22 @@ class CallbackAbort(Exception):
 
 
 class BaseConstraint(enum.Enum):
-    """Fixed-cell templates: ANY fixes nothing, RM fixes the diagonal and the
-    1-row, RML additionally fixes the 1-column."""
+    """The paper's bases as property sets: ANY is none, RM is (Re) and (M),
+    RML adds (L).  Their cells are pinned like those of any property set."""
 
     ANY = "ANY"
     RM = "RM"
     RML = "RML"
 
-    def fixed_cells(self, n: int) -> dict[int, int]:
-        one = n - 1
-        fixed: dict[int, int] = {}
+    @property
+    def props(self) -> frozenset[PropertyId]:
         if self is BaseConstraint.ANY:
-            return fixed
-        for i in range(n):
-            fixed[i * n + i] = one  # x -> x = 1
-            fixed[one * n + i] = i  # 1 -> y = y
-        if self is BaseConstraint.RML:
-            for i in range(n):
-                fixed[i * n + one] = one  # x -> 1 = 1
-        return fixed
+            return frozenset()
+        rm = frozenset({PropertyId.Re, PropertyId.M})
+        return rm | {PropertyId.L} if self is BaseConstraint.RML else rm
+
+    def fixed_cells(self, n: int) -> dict[int, int]:
+        return _space(n, self.props)[0]
 
     def free_cells(self, n: int) -> list[int]:
         fixed = self.fixed_cells(n)
@@ -96,12 +99,23 @@ class BaseConstraint(enum.Enum):
             raise KeyError(f"unknown base constraint: {token!r}") from None
 
 
-#: Properties whose whole content is a fixed-cell pattern under a base.
-_STRUCTURAL = {
-    BaseConstraint.ANY: frozenset(),
-    BaseConstraint.RM: frozenset({PropertyId.Re, PropertyId.M}),
-    BaseConstraint.RML: frozenset({PropertyId.Re, PropertyId.M, PropertyId.L}),
-}
+def _space(n: int, props: Iterable[PropertyId]) -> tuple[dict[int, int], tuple[PropertyId, ...]]:
+    """The search space of the size-n tables satisfying ``props``, as the
+    cells pinned by the (Re), (M) and (L) among them and the residual
+    properties, in their given order, which the DFS prunes with."""
+    one = n - 1
+    fixed: dict[int, int] = {}
+    residual = []
+    for p in props:
+        if p is PropertyId.Re:
+            fixed.update({i * n + i: one for i in range(n)})  # x -> x = 1
+        elif p is PropertyId.M:
+            fixed.update({one * n + i: i for i in range(n)})  # 1 -> y = y
+        elif p is PropertyId.L:
+            fixed.update({i * n + one: one for i in range(n)})  # x -> 1 = 1
+        else:
+            residual.append(p)
+    return fixed, tuple(residual)
 
 
 def _check_filter(props) -> None:
@@ -399,12 +413,6 @@ def _search_batched(
     return count
 
 
-def _fixed_for(n: int, base: BaseConstraint, filter_props) -> tuple[dict[int, int], list[PropertyId]]:
-    fixed = base.fixed_cells(n)
-    residual = [p for p in (filter_props or ()) if p not in _STRUCTURAL[base]]
-    return fixed, residual
-
-
 def enumerate_tables(
     size: int,
     base: BaseConstraint = BaseConstraint.ANY,
@@ -415,15 +423,15 @@ def enumerate_tables(
 ) -> int:
     """Visit every table of ``size`` satisfying ``base`` and ``filter``.
 
-    Visitation is lexicographic over free cells scanned row-major.  Returns
-    the number of tables visited; a visitor stops early by raising
-    CallbackAbort or returning False, in which case the partial count is
-    returned.
+    Visitation is lexicographic over free cells scanned row-major; ``prefix``
+    fixes the first free cells of that space.  Returns the number of tables
+    visited; a visitor stops early by raising CallbackAbort or returning
+    False, in which case the partial count is returned.
     """
     filter_props = tuple(filter) if filter else ()
     _check_filter(filter_props)
     _check_size(size, filter_props)
-    fixed, residual = _fixed_for(size, base, filter_props)
+    fixed, residual = _space(size, (*base.props, *filter_props))
     tnames = tuple(names) if names else default_names(size)
 
     if visitor is None:
@@ -440,24 +448,30 @@ def enumerate_tables(
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """A disjoint share of the search space: assignments of the first
-    ``len(prefixes[0])`` free cells."""
+    """A disjoint share of the space of ``size`` tables satisfying ``base``
+    and ``filter``: assignments of its first ``len(prefixes[0])`` free cells."""
 
     size: int
     base: BaseConstraint
     prefixes: tuple[tuple[int, ...], ...]
+    filter: tuple[PropertyId, ...] = ()
 
 
-def partition_work(size: int, base: BaseConstraint, shards: int) -> list[WorkUnit]:
-    """Split the space into ``shards`` disjoint covering units.
+def partition_work(
+    size: int, base: BaseConstraint, shards: int, filter: Iterable[PropertyId] = ()
+) -> list[WorkUnit]:
+    """Split the space of ``base`` and ``filter`` into ``shards`` disjoint
+    covering units.
 
-    Uses the shortest prefix length j with size**j >= shards and deals the
-    size**j lexicographic prefixes out contiguously.
+    Uses the shortest prefix length j with size**j >= shards (at most the
+    number of free cells) and deals the size**j lexicographic prefixes out
+    contiguously.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
     _check_size(size, None if size < MAX_SIZE else [PropertyId.B])
-    nfree = len(base.free_cells(size))
+    filter_props = tuple(filter)
+    nfree = size * size - len(_space(size, (*base.props, *filter_props))[0])
     j = 0
     while size**j < shards and j < nfree:
         j += 1
@@ -470,7 +484,7 @@ def partition_work(size: int, base: BaseConstraint, shards: int) -> list[WorkUni
     for w in range(shards):
         lo = w * total // shards
         hi = (w + 1) * total // shards
-        units.append(WorkUnit(size, base, tuple(prefixes[lo:hi])))
+        units.append(WorkUnit(size, base, tuple(prefixes[lo:hi]), filter_props))
     return units
 
 
@@ -557,13 +571,17 @@ class _Tally:
                 self.per_proper[cid] += int((member & ((bits & forb) == 0)).sum())
 
 
-def _batch_tables(n: int, base: BaseConstraint, lo: int, hi: int) -> np.ndarray:
-    """Tables with lexicographic free-cell indices in [lo, hi) as (B, n, n)."""
-    free = base.free_cells(n)
+def _batch_tables(
+    n: int, base: BaseConstraint, lo: int, hi: int, filter: Iterable[PropertyId] = ()
+) -> np.ndarray:
+    """Tables with lexicographic free-cell indices in [lo, hi) of the space
+    pinned by ``base`` and ``filter``, as (B, n, n)."""
+    fixed, _ = _space(n, (*base.props, *filter))
+    free = [c for c in range(n * n) if c not in fixed]
     nfree = len(free)
     idx = np.arange(lo, hi, dtype=np.int64)
     T = np.empty((idx.size, n * n), dtype=np.int64)
-    for c, v in base.fixed_cells(n).items():
+    for c, v in fixed.items():
         T[:, c] = v
     for k, c in enumerate(free):
         T[:, c] = (idx // n ** (nfree - 1 - k)) % n
@@ -573,59 +591,6 @@ def _batch_tables(n: int, base: BaseConstraint, lo: int, hi: int) -> np.ndarray:
 _CHUNK = 1 << 15
 
 
-def _census_range(n: int, base: BaseConstraint, lo: int, hi: int) -> CensusReport:
-    tally = _Tally()
-    t0 = time.perf_counter()
-    for start in range(lo, hi, _CHUNK):
-        tally.add(_batch_tables(n, base, start, min(start + _CHUNK, hi)))
-    return CensusReport(
-        n, base, hi - lo, tally.per_class, tally.per_proper, time.perf_counter() - t0
-    )
-
-
-def _census_worker(args):
-    n, base_value, lo, hi = args
-    return _census_range(n, BaseConstraint(base_value), lo, hi)
-
-
-def census(size: int, base: BaseConstraint, jobs: int = 1, shards: Optional[int] = None) -> CensusReport:
-    """Classify every table of the base-constrained space of ``size``.
-
-    ``shards`` forces a particular work partition (the merge is deterministic
-    regardless); ``jobs`` runs shards in parallel processes.
-    """
-    _check_jobs(jobs)
-    _check_size(size, None)
-    nfree = len(base.free_cells(size))
-    total = size**nfree
-    if shards is None:
-        shards = jobs
-    units = partition_work(size, base, max(1, shards))
-    # Convert prefix units into contiguous lexicographic index ranges.
-    ranges = []
-    for u in units:
-        if not u.prefixes:
-            continue
-        j = len(u.prefixes[0])
-        width = size ** (nfree - j)
-        lo = _prefix_index(u.prefixes[0], size) * width
-        hi = (_prefix_index(u.prefixes[-1], size) + 1) * width
-        ranges.append((size, base.value, lo, hi))
-    if not ranges:
-        ranges = [(size, base.value, 0, total)]
-    t0 = time.perf_counter()
-    if jobs > 1 and len(ranges) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_census_worker, ranges))
-    else:
-        parts = [_census_worker(r) for r in ranges]
-    report = parts[0]
-    for p in parts[1:]:
-        report = report.merged_with(p)
-    report.elapsed = time.perf_counter() - t0
-    return report
-
-
 def _prefix_index(prefix: Sequence[int], n: int) -> int:
     idx = 0
     for v in prefix:
@@ -633,17 +598,55 @@ def _prefix_index(prefix: Sequence[int], n: int) -> int:
     return idx
 
 
-def _filtered_unit(args) -> CensusReport:
-    n, base_value, filter_values, prefixes = args
-    base = BaseConstraint(base_value)
-    filter_props = tuple(PropertyId(v) for v in filter_values)
-    fixed, residual = _fixed_for(n, base, filter_props)
+def _census_unit(unit: WorkUnit) -> CensusReport:
+    """Classify one unit: by pruned search if its space leaves residual
+    properties, else by materialising its contiguous index range."""
+    n = unit.size
+    fixed, residual = _space(n, (*unit.base.props, *unit.filter))
     tally = _Tally()
     t0 = time.perf_counter()
-    total = _search_batched(n, fixed, residual, tally.add, prefixes or ((),))
+    if residual:
+        total = _search_batched(n, fixed, residual, tally.add, unit.prefixes)
+    else:
+        width = n ** (n * n - len(fixed) - len(unit.prefixes[0]))
+        lo = _prefix_index(unit.prefixes[0], n) * width
+        hi = (_prefix_index(unit.prefixes[-1], n) + 1) * width
+        for start in range(lo, hi, _CHUNK):
+            tally.add(_batch_tables(n, unit.base, start, min(start + _CHUNK, hi), unit.filter))
+        total = hi - lo
     return CensusReport(
-        n, base, total, tally.per_class, tally.per_proper, time.perf_counter() - t0, filter_props
+        n, unit.base, total, tally.per_class, tally.per_proper, time.perf_counter() - t0, unit.filter
     )
+
+
+def census(
+    size: int,
+    base: BaseConstraint,
+    filter: Iterable[PropertyId] = (),
+    jobs: int = 1,
+    shards: Optional[int] = None,
+) -> CensusReport:
+    """Classify every table of ``size`` satisfying ``base`` and ``filter``.
+
+    ``shards`` forces a particular work partition (the merge is deterministic
+    regardless); ``jobs`` runs shards in parallel processes.
+    """
+    filter_props = tuple(filter)
+    _check_jobs(jobs)
+    _check_filter(filter_props)
+    _check_size(size, filter_props)
+    units = partition_work(size, base, max(1, shards if shards is not None else jobs), filter_props)
+    t0 = time.perf_counter()
+    if jobs > 1 and len(units) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(_census_unit, units))
+    else:
+        parts = [_census_unit(u) for u in units]
+    report = parts[0]
+    for p in parts[1:]:
+        report = report.merged_with(p)
+    report.elapsed = time.perf_counter() - t0
+    return report
 
 
 def census_filtered(
@@ -653,39 +656,13 @@ def census_filtered(
     jobs: int = 1,
     shards: Optional[int] = None,
 ) -> CensusReport:
-    """Census restricted to tables satisfying ``filter`` (pruned search)."""
-    filter_props = tuple(filter)
-    _check_jobs(jobs)
-    _check_filter(filter_props)
-    _check_size(size, filter_props)
-    units = partition_work(size, base, max(1, shards if shards is not None else jobs))
-    args = [
-        (size, base.value, tuple(p.value for p in filter_props), u.prefixes) for u in units
-    ]
-    t0 = time.perf_counter()
-    if jobs > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_filtered_unit, args))
-    else:
-        parts = [_filtered_unit(a) for a in args]
-    report = parts[0]
-    for p in parts[1:]:
-        report = report.merged_with(p)
-    report.elapsed = time.perf_counter() - t0
-    return report
+    """``census(size, base, filter, jobs, shards)`` under its former name."""
+    return census(size, base, filter, jobs, shards)
 
 
 # ---------------------------------------------------------------------------
 # Minimal-model search.
 # ---------------------------------------------------------------------------
-
-
-def base_for_required(required: frozenset[PropertyId]) -> BaseConstraint:
-    if _STRUCTURAL[BaseConstraint.RML] <= required:
-        return BaseConstraint.RML
-    if _STRUCTURAL[BaseConstraint.RM] <= required:
-        return BaseConstraint.RM
-    return BaseConstraint.ANY
 
 
 def find_minimal_model(
@@ -711,10 +688,9 @@ def find_minimal_model(
 
         raise UnknownClass(f"{class_id} has no proper-variant definition")
 
-    base = base_for_required(required)
     for n in range(1, max_size + 1):
         _check_size(n, required)
-        fixed, residual = _fixed_for(n, base, required)
+        fixed, residual = _space(n, required)
         found: list[np.ndarray] = []
 
         def consume(T: np.ndarray) -> bool:

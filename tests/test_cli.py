@@ -179,7 +179,7 @@ def test_alg_jobs_env_default(capsys, monkeypatch):
     assert _default_jobs() >= 1
 
 
-def test_exit_codes(capsys, tmp_path):
+def test_exit_codes(capsys, tmp_path, monkeypatch):
     bad = tmp_path / "bad.tbl"
     bad.write_text("elements: a 1\n1\na 1\n")
     code, _, err = run(capsys, "check", str(bad))
@@ -202,3 +202,10 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 2 and "--jobs" in err
     code, _, err = run(capsys, "claims", "verify", "--claim", "p2.1-0", "--jobs", "0")
     assert code == 2 and "--jobs" in err
+    # ALG_JOBS gets the same check as --jobs
+    monkeypatch.setenv("ALG_JOBS", "0")
+    code, _, err = run(capsys, "find", "--class", "BCK", "--max-size", "2")
+    assert code == 2 and "ALG_JOBS" in err
+    monkeypatch.setenv("ALG_JOBS", "abc")
+    code, _, err = run(capsys, "find", "--class", "BCK", "--max-size", "2")
+    assert code == 2 and "ALG_JOBS" in err

@@ -1,6 +1,10 @@
 import itertools
+from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import E1_ROWS
 from oracle import oracle_witness
@@ -8,11 +12,14 @@ from oracle import oracle_witness
 from implalg import PropertyId as P
 from implalg import Table
 from implalg.classes import REGISTRY
+from implalg.core import CORE_PROPS, signature_bit
+from implalg.props import signature_bits_bulk
 from implalg.search import (
     BaseConstraint,
     CallbackAbort,
     SizeTooLarge,
     UnsupportedFilter,
+    _batch_tables,
     _check_size,
     census,
     census_filtered,
@@ -259,6 +266,59 @@ def test_filtered_census_is_base_independent():
     b = census_filtered(4, ANY, {P.Re, P.M, P.L, P.B, P.BB, P.Pimpl})
     assert a.total == b.total == 44
     assert a.per_class == b.per_class and a.per_proper == b.per_proper
+    # the unfiltered path: pinned filter properties leave nothing to prune
+    a = census(3, ANY, filter={P.Re, P.M})
+    b = census(3, RM)
+    assert a.total == b.total == 81
+    assert a.per_class == b.per_class and a.per_proper == b.per_proper
+    # a fully pinned space sharded past its size is split by its own free cells
+    a = census(2, ANY, filter={P.Re, P.M, P.L}, shards=4)
+    b = census(2, RML)
+    assert a.total == b.total == 1
+    assert a.per_class == b.per_class and a.per_proper == b.per_proper
+    # (M) from the filter pins the 1-row as RM does
+    assert enumerate_tables(4, ANY, {P.M, P.BB, P.An}) == 101
+
+
+def _mask(props):
+    return np.uint64(sum(1 << signature_bit(p) for p in set(props)))
+
+
+@lru_cache(maxsize=None)
+def _full_space(n, base):
+    """Every table of the base's space in lexicographic order, with the
+    signature bits of all core properties."""
+    T = _batch_tables(n, base, 0, n ** len(base.free_cells(n)))
+    return T, signature_bits_bulk(T, CORE_PROPS)
+
+
+_PINNABLE = (P.Re, P.M, P.L)
+
+
+@given(
+    n=st.integers(1, 3),
+    base=st.sampled_from([ANY, RM, RML]),
+    pinned=st.sets(st.sampled_from(_PINNABLE)),
+    others=st.sets(st.sampled_from([p for p in CORE_PROPS if p not in _PINNABLE]), max_size=3),
+    shards=st.integers(1, 7),
+)
+@settings(max_examples=100, deadline=None)
+def test_pruned_search_equals_batch_filter_of_full_space(n, base, pinned, others, shards):
+    props = pinned | others
+    T, bits = _full_space(n, base)
+    keep = (bits & _mask(props)) == _mask(props)
+    ref, ref_bits = T[keep], bits[keep]
+    seen = []
+    enumerate_tables(n, base, props, visitor=lambda t: seen.append([list(r) for r in t.cells]))
+    assert seen == ref.tolist()
+    report = census(n, base, filter=props, shards=shards)
+    assert report.total == len(ref)
+    for d in REGISTRY.defs:
+        member = (ref_bits & _mask(d.required)) == _mask(d.required)
+        assert report.per_class[d.id] == member.sum(), d.id
+        if d.proper_forbidden is not None:
+            proper = member & ((ref_bits & _mask(d.proper_forbidden)) == 0)
+            assert report.per_proper[d.id] == proper.sum(), d.id
 
 
 def _naive_least_proper(class_ids, max_size):
