@@ -48,6 +48,8 @@ def main() -> int:
     parser.add_argument("--full", action="store_true", help="include the size-5 run")
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     args = parser.parse_args()
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     failures = 0
 
     r2 = census(2, BaseConstraint.RM)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .classes import REGISTRY
 from .core import BOUNDED_PROPS, Claim, ClaimStatus, PropertyId, Table
-from .props import FORMULAS, _first_witness, _violation_mask, find_zero_bulk
+from .props import FORMULAS, _first_witness, _holds, _violation_mask, find_zero_bulk
 from .search import MAX_SIZE, SizeTooLarge, _check_jobs, _proper_mask, _search_batched, _space
 
 __all__ = [
@@ -311,10 +311,7 @@ def _search_counterexample(claim: Claim, hyps, conclusions, n: int):
         c in BOUNDED_PROPS for c in conclusions
     )
     fixed, residual = _space(n, core_hyps)
-    if claim.kind == "proper_empty":
-        cdef = REGISTRY.get(claim.proper_class)
-        # the DFS already enforces the required properties among the hypotheses
-        proper_args = (cdef.required - core_hyps, cdef.proper_forbidden)
+    cdef = REGISTRY.get(claim.proper_class) if claim.kind == "proper_empty" else None
     hit: list = []
 
     def consume(T) -> bool:
@@ -322,12 +319,13 @@ def _search_counterexample(claim: Claim, hyps, conclusions, n: int):
         if needs_bounded:
             zero, keep = find_zero_bulk(T)
             for formula in bounded_hyps:
-                keep &= ~_violation_mask(formula, T, zero).reshape(len(T), -1).any(axis=1)
+                keep &= _holds(formula, T, zero)
             T, zero = T[keep], zero[keep]
             if not len(T):
                 return True
-        if claim.kind == "proper_empty":
-            rows = np.flatnonzero(_proper_mask(T, *proper_args))
+        if cdef is not None:
+            # the DFS already enforces the hypotheses
+            rows = np.flatnonzero(_proper_mask(T, cdef, core_hyps))
             if rows.size:
                 hit.append((T[rows[0]], conclusions[0], ()))
             return not rows.size

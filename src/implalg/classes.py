@@ -2,10 +2,12 @@
 
 Membership of a table in a class is purely "required properties all hold on
 its signature"; proper membership additionally demands that every property in
-the class's forbidden list fails.  Where the source material gives several
-equivalent definitions of a class (BCI, BCK, BCH, pre-BCK) the registry
-stores one canonical required set; the equivalences are verified empirically
-by the claims suite instead of being assumed here.
+the class's forbidden list fails.  Both are bit-mask tests on signature bits
+(``ClassDef.is_member``/``is_proper``), which the census and the searches
+apply to whole batches.  Where the source material gives several equivalent
+definitions of a class (BCI, BCK, BCH, pre-BCK) the registry stores one
+canonical required set; the equivalences are verified empirically by the
+claims suite instead of being assumed here.
 """
 
 from __future__ import annotations
@@ -267,29 +269,27 @@ class ClassRegistry:
 
     def classify(self, sig: PropertySignature) -> set[str]:
         """Every class whose required set is satisfied by ``sig``."""
-        return {d.id for d in self.defs if sig.satisfies_all(d.required)}
+        return {d.id for d in self.defs if d.is_member(sig.bits)}
 
     def is_member(self, sig: PropertySignature, cid: str) -> bool:
-        return sig.satisfies_all(self.get(cid).required)
+        return self.get(cid).is_member(sig.bits)
 
     def is_proper(self, sig: PropertySignature, cid: str) -> bool:
-        d = self.get(cid)
-        if d.proper_forbidden is None:
-            raise UnknownClass(f"{cid} has no proper-variant definition")
-        return sig.satisfies_all(d.required) and not any(
-            sig.has(p) for p in d.proper_forbidden
-        )
+        return self._proper_def(cid).is_proper(sig.bits)
 
     def check_proper(self, table: Table, cid: str) -> tuple[bool, dict[PropertyId, EvalResult]]:
         """Proper-membership verdict plus per-forbidden-property evidence."""
-        d = self.get(cid)
-        if d.proper_forbidden is None:
-            raise UnknownClass(f"{cid} has no proper-variant definition")
-        sig = eval_all(table)
-        member = sig.satisfies_all(d.required)
+        d = self._proper_def(cid)
+        member = d.is_member(eval_all(table).bits)
         report = {p: eval_property(table, p) for p in sorted(d.proper_forbidden, key=lambda q: q.value)}
         is_proper = member and all(not r.satisfied for r in report.values())
         return is_proper, report
+
+    def _proper_def(self, cid: str) -> ClassDef:
+        d = self.get(cid)
+        if d.proper_forbidden is None:
+            raise UnknownClass(f"{cid} has no proper-variant definition")
+        return d
 
     def hierarchy_edges(self) -> tuple[tuple[str, str], ...]:
         return self._edges

@@ -35,29 +35,23 @@ EXIT_USAGE = 2
 EXIT_TOO_LARGE = 3
 
 
-def _default_jobs() -> int:
-    """ALG_JOBS where it is an integer, else the CPU count."""
-    env = os.environ.get("ALG_JOBS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
-def _jobs_error(jobs: Optional[int]) -> Optional[str]:
-    """Why ``--jobs`` (or, without it, ALG_JOBS) is no worker count >= 1."""
+def _worker_count(jobs: Optional[int]) -> int:
+    """``--jobs``, else ALG_JOBS, else the CPU count; a ValueError naming
+    its source when ``--jobs`` or ALG_JOBS is no integer >= 1."""
     if jobs is not None:
-        return None if jobs >= 1 else f"--jobs must be >= 1, got {jobs}"
+        if jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {jobs}")
+        return jobs
     env = os.environ.get("ALG_JOBS")
     if not env:
-        return None
+        return os.cpu_count() or 1
     try:
-        ok = int(env) >= 1
+        jobs = int(env)
     except ValueError:
-        ok = False
-    return None if ok else f"ALG_JOBS must be an integer >= 1, got {env!r}"
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"ALG_JOBS must be an integer >= 1, got {env!r}")
+    return jobs
 
 
 def _load_table(path: str) -> Table:
@@ -117,11 +111,9 @@ def cmd_check(args) -> int:
 def cmd_classify(args) -> int:
     table = _load_table(args.file)
     sig = eval_all(table)
-    members = [d.id for d in REGISTRY.defs if REGISTRY.is_member(sig, d.id)]
+    members = [d.id for d in REGISTRY.defs if d.is_member(sig.bits)]
     proper = [
-        d.id
-        for d in REGISTRY.defs
-        if d.proper_forbidden is not None and REGISTRY.is_proper(sig, d.id)
+        d.id for d in REGISTRY.defs if d.proper_forbidden is not None and d.is_proper(sig.bits)
     ]
     if args.format == "structured":
         record = {"file": args.file, "members": members}
@@ -325,12 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    problem = _jobs_error(args.jobs)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
+    try:
+        args.jobs = _worker_count(args.jobs)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    if args.jobs is None:
-        args.jobs = _default_jobs()
     try:
         return args.fn(args)
     except ParseError as e:

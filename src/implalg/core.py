@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -107,6 +108,11 @@ _BIT_INDEX[PropertyId.MP] = _BIT_INDEX[PropertyId.N]
 def signature_bit(prop: PropertyId) -> int:
     """Bit position of ``prop`` in PropertySignature.bits (MP maps to N)."""
     return _BIT_INDEX[prop]
+
+
+def signature_mask(props: Iterable[PropertyId]) -> int:
+    """The PropertySignature.bits mask with the bits of ``props`` set."""
+    return sum(1 << b for b in {_BIT_INDEX[p] for p in props})
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -221,9 +227,6 @@ class PropertySignature:
             raise ValueError(f"{prop} bit is meaningless on a non-bounded table")
         return bool(self.bits >> signature_bit(prop) & 1)
 
-    def satisfies_all(self, props: Iterable[PropertyId]) -> bool:
-        return all(self.has(p) for p in props)
-
 
 @dataclass(frozen=True)
 class ClassDef:
@@ -231,6 +234,8 @@ class ClassDef:
 
     ``proper_forbidden`` lists the properties that must in addition FAIL for
     the class's proper variant; None when no proper variant is defined.
+    ``is_member`` and ``is_proper`` test signature bits against the class's
+    masks; they take an int (``PropertySignature.bits``) or a uint64 array.
     """
 
     id: str
@@ -243,6 +248,22 @@ class ClassDef:
             raise ValueError(f"class {self.id} has an empty required set")
         if self.proper_forbidden and self.required & self.proper_forbidden:
             raise ValueError(f"class {self.id}: required and forbidden sets overlap")
+
+    @cached_property
+    def required_mask(self) -> int:
+        return signature_mask(self.required)
+
+    @cached_property
+    def forbidden_mask(self) -> int:
+        return signature_mask(self.proper_forbidden or ())
+
+    def is_member(self, bits):
+        return (bits & self.required_mask) == self.required_mask
+
+    def is_proper(self, bits):
+        """Member with every forbidden property failing (the caller checks
+        that a proper variant is defined); the two sets are disjoint."""
+        return (bits & (self.required_mask | self.forbidden_mask)) == self.required_mask
 
 
 class ClaimStatus(enum.Enum):

@@ -3,11 +3,13 @@
 Every axiom is stored once as a small term tree (variables, the constant 1,
 the zero of a bounded table, and the arrow operation) plus a formula shape:
 an equation, a Horn conditional, or a biconditional.  The same definition
-drives three consumers:
+drives two consumers:
 
-  * scalar verdicts with lexicographically least violating witnesses,
-  * batch evaluation over many tables at once (numpy, used by the census
-    and by every search leaf check),
+  * the batch kernel ``_violation_mask``, which evaluates a formula over many
+    tables and all assignments at once (numpy).  The census, every search
+    leaf check and every scalar verdict go through it; a verdict on one table
+    (``eval_property``, ``eval_all``, ``Formula.holds_at``, ``find_zero``) is
+    a one-table batch;
   * instance compilation for the pruned enumerator (see search module).
 
 Witnesses are reported in the property's printed variable order (x, y, z),
@@ -90,28 +92,8 @@ class Formula:
 
     def holds_at(self, table: Table, assignment: Sequence[int], zero: Optional[int] = None) -> bool:
         """Evaluate this formula at one concrete assignment (total)."""
-        cells = table.cells
-
-        def ev(t):
-            k = t[0]
-            if k == "var":
-                return assignment[t[1]]
-            if k == "one":
-                return table.one
-            if k == "zero":
-                if zero is None:
-                    raise ValueError(f"{self.prop} needs a zero element")
-                return zero
-            return cells[ev(t[1])][ev(t[2])]
-
-        if self.kind == "iff":
-            (ta, tb) = self.conclusion
-            return (ev(ta) == table.one) == (ev(tb) == table.one)
-        for (ta, tb) in self.premises:
-            if ev(ta) != ev(tb):
-                return True  # vacuously satisfied
-        ta, tb = self.conclusion
-        return ev(ta) == ev(tb)
+        viol = _violation_mask(self, _one_batch(table), zero)
+        return not viol[(0, *assignment)]
 
 
 def _eq(prop, arity, term):
@@ -192,15 +174,14 @@ def _term_values(term, T, axes, batch_idx, one, zero_arr):
 
 
 def _violation_mask(formula: Formula, T: np.ndarray, zero_arr=None) -> np.ndarray:
-    """Boolean array (B, n, ..n) of assignments violating ``formula``."""
+    """Boolean array (B, n, ..n) of assignments violating ``formula``.
+
+    ``zero_arr`` gives each table's zero, for formulas that use it (a
+    scalar when B is 1)."""
     B, n, _ = T.shape
     arity = formula.arity
-    axes = []
-    for k in range(arity):
-        shape = [1] * (arity + 1)
-        shape[k + 1] = n
-        axes.append(np.arange(n).reshape(shape))
-    batch_idx = np.arange(B).reshape((B,) + (1,) * arity)
+    shape = (B,) + (n,) * arity
+    batch_idx, *axes = np.indices(shape, sparse=True)
     if zero_arr is not None:
         zero_arr = np.asarray(zero_arr).reshape((B,) + (1,) * arity)
     one = n - 1
@@ -217,8 +198,13 @@ def _violation_mask(formula: Formula, T: np.ndarray, zero_arr=None) -> np.ndarra
         for (pa, pb) in formula.premises:
             viol = viol & (ev(pa) == ev(pb))
     # Broadcast up in case no term touched some axis (constant formulas).
-    full = np.broadcast_to(viol, (B,) + (n,) * arity)
-    return full
+    return viol if viol.shape == shape else np.broadcast_to(viol, shape)
+
+
+def _holds(formula: Formula, T: np.ndarray, zero_arr=None) -> np.ndarray:
+    """Per table of the (B, n, n) batch: does ``formula`` hold at every
+    assignment?"""
+    return ~_violation_mask(formula, T, zero_arr).reshape(len(T), -1).any(axis=1)
 
 
 def _first_witness(viol_row: np.ndarray, arity: int, n: int) -> Optional[Witness]:
@@ -228,19 +214,26 @@ def _first_witness(viol_row: np.ndarray, arity: int, n: int) -> Optional[Witness
     return tuple(int(v) for v in np.unravel_index(flat[0], (n,) * arity))
 
 
+def _one_batch(table: Table) -> np.ndarray:
+    return np.asarray([table.cells], dtype=np.int64)
+
+
+def _zero_rows(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per table of the (B, n, n) batch: the index of its first all-1 row,
+    whether that row is the only one, and whether (L) holds."""
+    one = T.shape[1] - 1
+    full = (T == one).all(axis=2)
+    return full.argmax(axis=1), full.sum(axis=1) == 1, (T[:, :, one] == one).all(axis=1)
+
+
 def find_zero(table: Table) -> Optional[tuple[int, bool]]:
     """Unique element whose row is all 1, with the boundedness flag.
 
     Returns None when no zero exists or several rows qualify; bounded means
     a zero exists and (L) holds.
     """
-    n = table.size
-    one = table.one
-    zeros = [z for z in range(n) if all(v == one for v in table.cells[z])]
-    if len(zeros) != 1:
-        return None
-    l_holds = all(table.cells[x][one] == one for x in range(n))
-    return zeros[0], l_holds
+    zero, unique, l_holds = _zero_rows(_one_batch(table))
+    return (int(zero[0]), bool(l_holds[0])) if unique[0] else None
 
 
 def find_zero_bulk(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,23 +243,22 @@ def find_zero_bulk(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     holds; ``zero[b]`` is then that row's index (elsewhere it is a valid
     index with no meaning).
     """
-    one = T.shape[1] - 1
-    full = (T == one).all(axis=2)
-    bounded = (full.sum(axis=1) == 1) & (T[:, :, one] == one).all(axis=1)
-    return full.argmax(axis=1), bounded
+    zero, unique, l_holds = _zero_rows(T)
+    return zero, unique & l_holds
+
+
+def _verdict(table: Table, prop: PropertyId, zero: Optional[int] = None) -> EvalResult:
+    formula = FORMULAS[prop]
+    viol = _violation_mask(formula, _one_batch(table), zero)
+    witness = _first_witness(viol[0], formula.arity, table.size)
+    return EvalResult(prop, witness is None, witness)
 
 
 def eval_property(table: Table, prop: PropertyId) -> EvalResult:
     """Verdict of a non-bounded property with the least violating witness."""
     if prop in BOUNDED_PROPS:
         raise ValueError(f"{prop} is defined on bounded tables only; use eval_bounded_property")
-    formula = FORMULAS[prop]
-    T = np.asarray([table.cells], dtype=np.int64)
-    viol = _violation_mask(formula, T)[0]
-    witness = _first_witness(viol, formula.arity, table.size)
-    if witness is None:
-        return EvalResult(prop, True)
-    return EvalResult(prop, False, witness)
+    return _verdict(table, prop)
 
 
 def eval_bounded_property(table: Table, prop: PropertyId) -> EvalResult:
@@ -276,33 +268,20 @@ def eval_bounded_property(table: Table, prop: PropertyId) -> EvalResult:
     zb = find_zero(table)
     if zb is None or not zb[1]:
         return EvalResult(prop, False, None, applicable=False)
-    zero = zb[0]
-    formula = FORMULAS[prop]
-    T = np.asarray([table.cells], dtype=np.int64)
-    viol = _violation_mask(formula, T, zero_arr=[zero])[0]
-    witness = _first_witness(viol, formula.arity, table.size)
-    if witness is None:
-        return EvalResult(prop, True)
-    return EvalResult(prop, False, witness)
+    return _verdict(table, prop, zb[0])
 
 
 def eval_all(table: Table) -> PropertySignature:
     """Full signature: one bit per core property, plus the bounded block."""
-    T = np.asarray([table.cells], dtype=np.int64)
-    bits = 0
-    for prop in CORE_PROPS:
-        viol = _violation_mask(FORMULAS[prop], T)
-        if not viol.any():
-            bits |= 1 << signature_bit(prop)
+    T = _one_batch(table)
+    bits = int(signature_bits_bulk(T, CORE_PROPS)[0])
     zb = find_zero(table)
-    zero = zb[0] if zb else None
     bounded = bool(zb and zb[1])
     if bounded:
         for prop in BOUNDED_PROPS:
-            viol = _violation_mask(FORMULAS[prop], T, zero_arr=[zero])
-            if not viol.any():
+            if _holds(FORMULAS[prop], T, zb[0])[0]:
                 bits |= 1 << signature_bit(prop)
-    return PropertySignature(bits=bits, bounded=bounded, zero=zero)
+    return PropertySignature(bits=bits, bounded=bounded, zero=zb[0] if zb else None)
 
 
 def needed_props(*prop_sets) -> tuple[PropertyId, ...]:
@@ -319,13 +298,10 @@ def signature_bits_bulk(T: np.ndarray, props: Sequence[PropertyId]) -> np.ndarra
     ``T`` is (B, n, n) int; the result is a uint64 bit array laid out exactly
     like PropertySignature.bits so class masks apply directly.
     """
-    B = T.shape[0]
-    bits = np.zeros(B, dtype=np.uint64)
+    bits = np.zeros(len(T), dtype=np.uint64)
     for prop in props:
         if prop in BOUNDED_PROPS:
             raise ValueError("bulk evaluation covers core properties only")
-        formula = FORMULAS[prop]
-        viol = _violation_mask(formula, T)
-        ok = ~viol.reshape(B, -1).any(axis=1)
+        ok = _holds(FORMULAS[prop], T)
         bits |= ok.astype(np.uint64) << np.uint64(signature_bit(prop))
     return bits

@@ -36,8 +36,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import BOUNDED_PROPS, PropertyId, Table, default_names, signature_bit
-from .classes import REGISTRY, ClassRegistry
+from .core import BOUNDED_PROPS, ClassDef, PropertyId, Table, default_names, signature_mask
+from .classes import REGISTRY, ClassRegistry, UnknownClass
 from .props import FORMULAS, needed_props, signature_bits_bulk
 
 __all__ = [
@@ -131,11 +131,13 @@ def _check_jobs(jobs: int) -> None:
         raise ValueError("jobs must be >= 1")
 
 
-def _check_size(n: int, filter_props) -> None:
+def _check_size(n: int, filter_props=None) -> None:
+    """Raise SizeTooLarge unless n is in 1..MAX_SIZE and, with
+    ``filter_props``, a size-6 space is pruned by a strong filter."""
     if not 1 <= n <= MAX_SIZE:
         raise SizeTooLarge(f"size {n} outside supported range 1..{MAX_SIZE}")
-    if n == MAX_SIZE:
-        f = frozenset(filter_props or ())
+    if n == MAX_SIZE and filter_props is not None:
+        f = frozenset(filter_props)
         strong = (
             PropertyId.B in f
             or {PropertyId.Star, PropertyId.StarStar} <= f
@@ -146,6 +148,24 @@ def _check_size(n: int, filter_props) -> None:
                 "size-6 enumeration needs a filter containing B, Pimpl, or "
                 "both Star and StarStar; the unfiltered space is ~3.7e15 tables"
             )
+
+
+#: The most tables a census classifies without a residual property to prune
+#: with: the size-5 RML space.
+MAX_UNPRUNED_TABLES = 5**12
+
+
+def _check_unpruned(n: int, props: Iterable[PropertyId]) -> None:
+    """Raise SizeTooLarge when the space of the size-n tables satisfying
+    ``props`` has no residual and more than MAX_UNPRUNED_TABLES tables,
+    which a census would materialise one by one."""
+    fixed, residual = _space(n, props)
+    tables = n ** (n * n - len(fixed))
+    if not residual and tables > MAX_UNPRUNED_TABLES:
+        raise SizeTooLarge(
+            f"census of {tables:,} size-{n} tables with no property to prune them; "
+            f"at most {MAX_UNPRUNED_TABLES:,} (5^12) are classified unpruned"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +489,7 @@ def partition_work(
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    _check_size(size, None if size < MAX_SIZE else [PropertyId.B])
+    _check_size(size)
     filter_props = tuple(filter)
     nfree = size * size - len(_space(size, (*base.props, *filter_props))[0])
     j = 0
@@ -530,45 +550,31 @@ class CensusReport:
         }
 
 
-def _prop_mask(props: Iterable[PropertyId]) -> np.uint64:
-    mask = 0
-    for p in props:
-        mask |= 1 << signature_bit(p)
-    return np.uint64(mask)
-
-
-def _proper_mask(T: np.ndarray, required, forbidden) -> np.ndarray:
-    """Which tables of the (B, n, n) batch satisfy every ``required`` core
-    property and none of the ``forbidden`` ones."""
-    req, forb = _prop_mask(required), _prop_mask(forbidden)
-    bits = signature_bits_bulk(T, needed_props(required, forbidden))
-    return ((bits & req) == req) & ((bits & forb) == 0)
+def _proper_mask(T: np.ndarray, cdef: ClassDef, given: Iterable[PropertyId] = ()) -> np.ndarray:
+    """Which tables of the (B, n, n) batch are proper members of ``cdef``,
+    given that all of them satisfy the properties ``given``."""
+    given = frozenset(given) & cdef.required
+    bits = signature_bits_bulk(T, needed_props(cdef.required - given, cdef.proper_forbidden))
+    return cdef.is_proper(bits | np.uint64(signature_mask(given)))
 
 
 class _Tally:
     """Per-class and per-proper member counts over batches of tables."""
 
     def __init__(self, registry: ClassRegistry = REGISTRY):
-        sets = [d.required for d in registry.defs]
-        sets += [d.proper_forbidden for d in registry.defs if d.proper_forbidden]
+        self.defs = registry.defs
+        sets = [d.required for d in self.defs]
+        sets += [d.proper_forbidden for d in self.defs if d.proper_forbidden]
         self.props = needed_props(*sets)
-        self.req_masks = {d.id: _prop_mask(d.required) for d in registry.defs}
-        self.forb_masks = {
-            d.id: _prop_mask(d.proper_forbidden)
-            for d in registry.defs
-            if d.proper_forbidden is not None
-        }
-        self.per_class = dict.fromkeys(self.req_masks, 0)
-        self.per_proper = dict.fromkeys(self.forb_masks, 0)
+        self.per_class = {d.id: 0 for d in self.defs}
+        self.per_proper = {d.id: 0 for d in self.defs if d.proper_forbidden is not None}
 
     def add(self, T: np.ndarray) -> None:
         bits = signature_bits_bulk(T, self.props)
-        for cid, req in self.req_masks.items():
-            member = (bits & req) == req
-            self.per_class[cid] += int(member.sum())
-            forb = self.forb_masks.get(cid)
-            if forb is not None:
-                self.per_proper[cid] += int((member & ((bits & forb) == 0)).sum())
+        for d in self.defs:
+            self.per_class[d.id] += int(d.is_member(bits).sum())
+            if d.proper_forbidden is not None:
+                self.per_proper[d.id] += int(d.is_proper(bits).sum())
 
 
 def _batch_tables(
@@ -635,6 +641,7 @@ def census(
     _check_jobs(jobs)
     _check_filter(filter_props)
     _check_size(size, filter_props)
+    _check_unpruned(size, (*base.props, *filter_props))
     units = partition_work(size, base, max(1, shards if shards is not None else jobs), filter_props)
     t0 = time.perf_counter()
     if jobs > 1 and len(units) > 1:
@@ -677,15 +684,11 @@ def find_minimal_model(
     With ``proper`` the class's forbidden properties must all fail; ``extra``
     adds required properties on top of the class definition.
     """
-    if not 1 <= max_size <= MAX_SIZE:
-        raise SizeTooLarge(f"max_size {max_size} outside supported range 1..{MAX_SIZE}")
+    _check_size(max_size)
     cdef = registry.get(class_id)
     required = cdef.required | frozenset(extra)
     _check_filter(required)
-    forbidden = cdef.proper_forbidden if proper else None
-    if proper and forbidden is None:
-        from .classes import UnknownClass
-
+    if proper and cdef.proper_forbidden is None:
         raise UnknownClass(f"{class_id} has no proper-variant definition")
 
     for n in range(1, max_size + 1):
@@ -694,10 +697,11 @@ def find_minimal_model(
         found: list[np.ndarray] = []
 
         def consume(T: np.ndarray) -> bool:
-            hits = np.flatnonzero(_proper_mask(T, (), forbidden or ()))
-            if hits.size:
-                found.append(T[hits[0]])
-            return not hits.size
+            if proper:
+                T = T[_proper_mask(T, cdef, required)]
+            if len(T):
+                found.append(T[0])
+            return not len(T)
 
         _search_batched(n, fixed, residual, consume)
         if found:

@@ -172,11 +172,13 @@ def test_find_none_and_found(capsys):
 
 def test_alg_jobs_env_default(capsys, monkeypatch):
     monkeypatch.setenv("ALG_JOBS", "3")
-    from implalg.cli import _default_jobs
+    from implalg.cli import _worker_count
 
-    assert _default_jobs() == 3
+    assert _worker_count(None) == 3
+    assert _worker_count(2) == 2  # --jobs wins
     monkeypatch.setenv("ALG_JOBS", "junk")
-    assert _default_jobs() >= 1
+    with pytest.raises(ValueError, match="ALG_JOBS"):
+        _worker_count(None)
 
 
 def test_exit_codes(capsys, tmp_path, monkeypatch):
@@ -186,6 +188,8 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     assert code == 2 and "parse error" in err
     code, _, err = run(capsys, "census", "--size", "9", "--base", "RM")
     assert code == 3 and "size limit" in err
+    code, _, err = run(capsys, "census", "--size", "5", "--base", "RM", "--jobs", "2")
+    assert code == 3 and "152,587,890,625" in err
     code, _, err = run(capsys, "check", str(tmp_path / "missing.tbl"))
     assert code == 2
     code, _, err = run(capsys, "find", "--class", "Nope", "--max-size", "2")

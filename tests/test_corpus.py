@@ -50,6 +50,9 @@ def test_key_entries(entries):
 
 def test_no_implementation_failures(regression):
     assert regression.implementation_failures == []
+    # every stated witness violates under the standard (x, y, z) reading
+    assert len(regression.witness_readings) == 310
+    assert set(regression.witness_readings.values()) == {"xyz"}
 
 
 def test_discrepancies_are_exactly_the_known_ones(regression):

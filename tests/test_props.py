@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -10,7 +11,8 @@ from oracle import oracle_witness, oracle_zero
 from implalg import PropertyId as P
 from implalg import Table, eval_all, eval_bounded_property, eval_property, find_zero
 from implalg.core import BOUNDED_PROPS, CORE_PROPS, SIGNATURE_PROPS, signature_bit
-from implalg.props import find_zero_bulk, signature_bits_bulk
+from implalg.classes import REGISTRY
+from implalg.props import FORMULAS, find_zero_bulk, signature_bits_bulk
 from implalg.search import BaseConstraint, _batch_tables
 
 
@@ -119,11 +121,39 @@ def test_bounded_verdicts_match_oracle(table):
 
 
 @given(tables(max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_holds_at_matches_oracle(table):
+    # False at the oracle's first witness, True at every assignment before it
+    zb = oracle_zero(table)
+    bounded = bool(zb and zb[1])
+    for prop in SIGNATURE_PROPS:
+        formula = FORMULAS[prop]
+        if prop in BOUNDED_PROPS:
+            if not bounded:
+                continue
+            zero = zb[0]
+            expected = oracle_witness(table, prop.value, zero=zero)
+        else:
+            zero = None
+            expected = oracle_witness(table, prop.value)
+        for assignment in itertools.product(range(table.size), repeat=formula.arity):
+            if assignment == expected:
+                assert not formula.holds_at(table, assignment, zero), (prop, table.cells)
+                break
+            assert formula.holds_at(table, assignment, zero), (prop, assignment, table.cells)
+
+
+@given(tables(max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_eval_all_agrees_with_individual_results(table):
     sig = eval_all(table)
+    zb = oracle_zero(table)
+    assert sig.zero == (zb[0] if zb else None)
+    holds = {prop: eval_property(table, prop).satisfied for prop in CORE_PROPS}
     for prop in CORE_PROPS:
-        assert sig.has(prop) == eval_property(table, prop).satisfied, prop
+        assert sig.has(prop) == holds[prop], prop
+    members = {d.id for d in REGISTRY.defs if all(holds[p] for p in d.required)}
+    assert REGISTRY.classify(sig) == members
     if sig.bounded:
         for prop in BOUNDED_PROPS:
             assert sig.has(prop) == eval_bounded_property(table, prop).satisfied, prop

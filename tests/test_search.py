@@ -21,6 +21,7 @@ from implalg.search import (
     UnsupportedFilter,
     _batch_tables,
     _check_size,
+    _check_unpruned,
     census,
     census_filtered,
     enumerate_tables,
@@ -129,6 +130,16 @@ def test_size_caps():
     _check_size(6, [P.B])
     _check_size(6, [P.Star, P.StarStar])
     _check_size(6, [P.Pimpl])
+    # a census with nothing to prune classifies at most 5^12 tables, the
+    # size-5 RML space, and refuses a larger one before it starts
+    _check_unpruned(5, RML.props)
+    _check_unpruned(5, [P.Re, P.M, P.L, P.B])
+    with pytest.raises(SizeTooLarge, match="152,587,890,625"):
+        census(5, RM)  # 5^16 tables
+    with pytest.raises(SizeTooLarge, match="4,294,967,296"):
+        census(4, ANY, jobs=2)  # 4^16 tables
+    with pytest.raises(SizeTooLarge):
+        census(5, ANY, filter=[P.Re, P.M])
 
 
 def test_partition_work_spec_shapes():
