@@ -15,6 +15,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from implalg.cli import _worker_count
 from implalg.core import PropertyId as P
 from implalg.search import BaseConstraint, census
 
@@ -46,10 +47,13 @@ def _d_splits_size3():
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full", action="store_true", help="include the size-5 run")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="worker count (default: ALG_JOBS, else the CPU count)")
     args = parser.parse_args()
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    try:
+        args.jobs = _worker_count(args.jobs)
+    except ValueError as e:
+        parser.error(str(e))
     failures = 0
 
     r2 = census(2, BaseConstraint.RM)

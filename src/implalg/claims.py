@@ -5,12 +5,12 @@ Verified when no table up to the size budget satisfies its hypotheses while
 violating a conclusion; a non-implication claim must instead produce such a
 counterexample at or below the size where the source exhibits one.
 
-The search runs over the space that ``search._space`` derives from the
-non-bounded hypotheses, as every search does: the cells of (Re), (M) and (L)
-pinned, the other hypotheses pruned.  It decides its leaves in buffered
-batches (``search._search_batched``): boundedness, bounded-only hypotheses and
-conclusions through the props batch masks, proper membership through
-signature bits.  Each outcome records how many tables it examined per size.
+The search passes the non-bounded hypotheses to ``search._search_batched``,
+which derives their space as for every search: the cells of (Re), (M) and
+(L) pinned, the other hypotheses pruned.  It decides its leaves in buffered
+batches: boundedness, bounded-only hypotheses and conclusions through the
+props batch masks, proper membership through signature bits.  Each outcome
+records how many tables it examined per size.
 
 A Verified verdict here is finite evidence, not proof: the search is
 exhaustive only up to the stated size.  Claims are identified by semantic
@@ -29,7 +29,7 @@ import numpy as np
 from .classes import REGISTRY
 from .core import BOUNDED_PROPS, Claim, ClaimStatus, PropertyId, Table
 from .props import FORMULAS, _first_witness, _holds, _violation_mask, find_zero_bulk
-from .search import MAX_SIZE, SizeTooLarge, _check_jobs, _proper_mask, _search_batched, _space
+from .search import MAX_SIZE, SizeTooLarge, _check_jobs, _proper_mask, _search_batched
 
 __all__ = [
     "CLAIMS",
@@ -310,7 +310,6 @@ def _search_counterexample(claim: Claim, hyps, conclusions, n: int):
     needs_bounded = claim.bounded_only or bool(bounded_hyps) or any(
         c in BOUNDED_PROPS for c in conclusions
     )
-    fixed, residual = _space(n, core_hyps)
     cdef = REGISTRY.get(claim.proper_class) if claim.kind == "proper_empty" else None
     hit: list = []
 
@@ -341,7 +340,7 @@ def _search_counterexample(claim: Claim, hyps, conclusions, n: int):
         hit.append((T[row], concl, _first_witness(viol_row, FORMULAS[concl].arity, n)))
         return False
 
-    examined = _search_batched(n, fixed, residual, consume)
+    examined = _search_batched(n, core_hyps, consume)
     if not hit:
         return None, examined
     cells, concl, witness = hit[0]

@@ -67,16 +67,12 @@ def _parse_props(tokens) -> list[PropertyId]:
     return out
 
 
-def _fmt_witness(table: Table, witness) -> str:
-    return "(" + ",".join(table.names[e] for e in witness) + ")"
-
-
 def _result_line(table: Table, res) -> str:
     if not res.applicable:
         return f"{res.property}: not applicable (unbounded)"
     if res.satisfied:
         return f"{res.property}: satisfied"
-    return f"{res.property}: violated at {_fmt_witness(table, res.witness)}"
+    return f"{res.property}: violated at {table.format_assignment(res.witness)}"
 
 
 def cmd_check(args) -> int:
@@ -205,7 +201,7 @@ def cmd_claims(args) -> int:
     budgets = {}
     if args.claim:
         todo = [claims_mod.claim_by_id(args.claim)]
-        if args.max_size:
+        if args.max_size is not None:
             budgets[args.claim] = args.max_size
     else:
         # verify runs the theorem claims, refute the non-implications
@@ -213,7 +209,7 @@ def cmd_claims(args) -> int:
             ClaimStatus.NON_IMPLICATION if args.mode == "refute" else ClaimStatus.THEOREM
         )
         todo = [c for c in claims_mod.CLAIMS if c.status is wanted]
-        if args.max_size:
+        if args.max_size is not None:
             budgets = {c.id: min(args.max_size, claims_mod.default_max_size(c)) for c in todo}
     report = claims_mod.verify_all(budgets, todo, jobs=args.jobs)
     if args.format == "structured":

@@ -3,20 +3,24 @@
 Every search runs over the tables of one size that satisfy a set of
 properties.  ``_space`` splits that set in two: (Re), (M) and (L) are each
 a pattern of pinned cells, and the rest is the residual that the DFS prunes
-with.  A ``BaseConstraint`` is a name for one of the paper's base sets, so
+with.  A shard prefix pins the first free cells as well.  A
+``BaseConstraint`` is a name for one of the paper's base sets, so
 ``census(n, ANY, filter={Re, M})`` and ``census(n, RM)`` search one space.
 
 The enumerator assigns free cells row-major, depth-first, values in ascending
 order, so single-worker visitation is globally lexicographic.  Residual
-properties are compiled into per-assignment *instances*; an instance is
-re-evaluated exactly when the cell it is blocked on gets assigned (a pending
-list per search depth, with trail-based undo), so a partial table is abandoned
-as soon as any fully-assigned instance is violated.
+properties are compiled into per-assignment *instances*, closures that all
+answer with one code (violated, satisfied, or the cell they are blocked on);
+an instance is re-evaluated exactly when the cell it is blocked on gets
+assigned (a pending list per search depth, with trail-based undo), so a
+partial table is abandoned as soon as any fully-assigned instance is violated.
+The search stops early only when its leaf callback returns False.
 
-Leaf checks are batched: ``_search_batched`` collects the DFS leaves into
-buffers of LEAF_BUFFER tables and hands each buffer, in visitation order, to
-a consumer that decides all of its tables at once with the numpy masks of the
-props module.  Censuses with a residual, ``find_minimal_model`` and the claims
+Leaf checks are batched: ``_search_batched`` takes a property set, derives
+the space of each shard prefix, collects the DFS leaves into buffers of
+LEAF_BUFFER tables and hands each buffer, in visitation order, to a consumer
+that decides all of its tables at once with the numpy masks of the props
+module.  Censuses with a residual, ``find_minimal_model`` and the claims
 search all go through it, so the first hit in buffer order is the
 lexicographically least table.
 
@@ -32,7 +36,7 @@ import enum
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -84,11 +88,8 @@ class BaseConstraint(enum.Enum):
         rm = frozenset({PropertyId.Re, PropertyId.M})
         return rm | {PropertyId.L} if self is BaseConstraint.RML else rm
 
-    def fixed_cells(self, n: int) -> dict[int, int]:
-        return _space(n, self.props)[0]
-
     def free_cells(self, n: int) -> list[int]:
-        fixed = self.fixed_cells(n)
+        fixed, _ = _space(n, self.props)
         return [c for c in range(n * n) if c not in fixed]
 
     @classmethod
@@ -99,10 +100,15 @@ class BaseConstraint(enum.Enum):
             raise KeyError(f"unknown base constraint: {token!r}") from None
 
 
-def _space(n: int, props: Iterable[PropertyId]) -> tuple[dict[int, int], tuple[PropertyId, ...]]:
+def _space(
+    n: int, props: Iterable[PropertyId], prefix: Sequence[int] = ()
+) -> tuple[dict[int, int], tuple[PropertyId, ...]]:
     """The search space of the size-n tables satisfying ``props``, as the
     cells pinned by the (Re), (M) and (L) among them and the residual
-    properties, in their given order, which the DFS prunes with."""
+    properties, in their given order, which the DFS prunes with.
+
+    A shard ``prefix`` pins the first free cells of that space, in row-major
+    order, to its values."""
     one = n - 1
     fixed: dict[int, int] = {}
     residual = []
@@ -115,6 +121,11 @@ def _space(n: int, props: Iterable[PropertyId]) -> tuple[dict[int, int], tuple[P
             fixed.update({i * n + one: one for i in range(n)})  # x -> 1 = 1
         else:
             residual.append(p)
+    if prefix:
+        free = [c for c in range(n * n) if c not in fixed]
+        if len(prefix) > len(free):
+            raise ValueError("prefix longer than the number of free cells")
+        fixed.update(zip(free, prefix))
     return fixed, tuple(residual)
 
 
@@ -175,8 +186,10 @@ def _check_unpruned(n: int, props: Iterable[PropertyId]) -> None:
 #   -1  violated,
 #   -2  satisfied (possibly vacuously) for the rest of this subtree,
 #   c>=0 undecidable until flat cell c is assigned.
-# Terms are constant-folded against the concrete variable assignment, so a
-# fully constant instance disappears at compile time.
+# A compiled term equality returns the same codes (-1 fails, -2 holds), so an
+# equation instance is its conclusion closure and a Horn instance only adds
+# its premises.  Terms are constant-folded against the concrete variable
+# assignment, so a fully constant instance disappears at compile time.
 # ---------------------------------------------------------------------------
 
 
@@ -218,16 +231,14 @@ def _compile_term(term, assignment, n: int):
 
 
 def _compile_pair(pair, assignment, n):
-    """Compile a term equality into ("const", bool) or ("fn", closure).
-
-    The closure returns -1 when the equality holds, -2 when it fails, and
-    the flat cell index (>= 0) it is blocked on otherwise.
-    """
+    """Compile a term equality into a bool, when both sides are constant, or
+    a closure that returns the instance codes: -2 when the equality holds,
+    -1 when it fails, and the flat cell index (>= 0) it is blocked on."""
     ta, tb = pair
     ca = _compile_term(ta, assignment, n)
     cb = _compile_term(tb, assignment, n)
     if isinstance(ca, int) and isinstance(cb, int):
-        return ("const", ca == cb)
+        return ca == cb
 
     def g(cells, ca=ca, cb=cb, call_a=callable(ca), call_b=callable(cb)):
         va = ca(cells) if call_a else ca
@@ -236,9 +247,9 @@ def _compile_pair(pair, assignment, n):
         vb = cb(cells) if call_b else cb
         if vb < 0:
             return -vb - 1
-        return -1 if va == vb else -2
+        return -2 if va == vb else -1
 
-    return ("fn", g)
+    return g
 
 
 def compile_instances(props: Iterable[PropertyId], n: int) -> list:
@@ -261,47 +272,29 @@ def compile_instances(props: Iterable[PropertyId], n: int) -> list:
 def _compile_one(formula, assignment, n: int):
     premises = []
     for pair in formula.premises:
-        kind, payload = _compile_pair(pair, assignment, n)
-        if kind == "const":
-            if payload is False:
-                return None  # vacuously satisfied forever
-            continue  # premise always true, drop
-        premises.append(payload)
-    ckind, cpayload = _compile_pair(formula.conclusion, assignment, n)
-    if ckind == "const":
-        if cpayload:
-            return None  # conclusion always true
+        premise = _compile_pair(pair, assignment, n)
+        if premise is False:
+            return None  # vacuously satisfied forever
+        if premise is not True:  # an always-true premise is dropped
+            premises.append(premise)
+    conclusion = _compile_pair(formula.conclusion, assignment, n)
+    if conclusion is True:
+        return None  # conclusion always true
+    if conclusion is False:
         if not premises:
             raise ValueError(f"{formula.prop} instance {assignment} is unsatisfiable")
         conclusion = None  # conclusion constant-false: violated iff premises hold
-    else:
-        conclusion = cpayload
-        if not premises:
-            def inst_eq(cells, c=conclusion):
-                r = c(cells)
-                if r == -1:
-                    return -2  # holds
-                if r == -2:
-                    return -1  # violated
-                return r
-
-            return inst_eq
+    elif not premises:
+        return conclusion
 
     def inst_horn(cells, premises=tuple(premises), conclusion=conclusion):
         for p in premises:
             r = p(cells)
-            if r == -2:
+            if r == -1:
                 return -2  # a premise fails: vacuous
             if r >= 0:
                 return r
-        if conclusion is None:
-            return -1
-        r = conclusion(cells)
-        if r == -1:
-            return -2
-        if r == -2:
-            return -1
-        return r
+        return -1 if conclusion is None else conclusion(cells)
 
     return inst_horn
 
@@ -311,13 +304,10 @@ def _compile_one(formula, assignment, n: int):
 # ---------------------------------------------------------------------------
 
 
-def _dfs(
-    n: int,
-    fixed: dict[int, int],
-    filter_props: Sequence[PropertyId],
-    leaf_fn,
-    prefix: Sequence[int] = (),
-) -> int:
+def _dfs(n: int, fixed: dict[int, int], filter_props: Sequence[PropertyId], leaf_fn) -> int:
+    """Count the tables that extend ``fixed`` and satisfy ``filter_props``,
+    in lexicographic order of the free cells.  ``leaf_fn``, if given, sees
+    each one's flat cell list and stops the search by returning False."""
     cells = [-1] * (n * n)
     for c, v in fixed.items():
         cells[c] = v
@@ -335,9 +325,6 @@ def _dfs(
         if r >= 0:
             pend[pos_of[r]].append(inst)
 
-    if len(prefix) > nfree:
-        raise ValueError("prefix longer than the number of free cells")
-
     trail: list[int] = []
 
     def assign(d: int, v: int) -> bool:
@@ -353,16 +340,7 @@ def _dfs(
                 trail.append(p)
         return True
 
-    # Apply the shard prefix through the same machinery.
-    for d, v in enumerate(prefix):
-        sp = len(trail)
-        if not assign(d, v):
-            while len(trail) > sp:
-                pend[trail.pop()].pop()
-            return 0
-
     count = 0
-    start = len(prefix)
 
     def rec(d: int) -> bool:
         nonlocal count
@@ -381,10 +359,7 @@ def _dfs(
         cells[free[d]] = -1
         return go_on
 
-    try:
-        rec(start)
-    except CallbackAbort:
-        pass
+    rec(0)
     return count
 
 
@@ -396,13 +371,13 @@ LEAF_BUFFER = 256
 
 def _search_batched(
     n: int,
-    fixed: dict[int, int],
-    filter_props: Sequence[PropertyId],
+    props: Collection[PropertyId],
     consume: Callable[[np.ndarray], bool],
     prefixes: Sequence[Sequence[int]] = ((),),
 ) -> int:
-    """Run the pruned DFS under each of ``prefixes`` in turn and hand its
-    leaves to ``consume`` in visitation order, as (B, n, n) int64 arrays of
+    """Run the pruned DFS over the size-n tables satisfying ``props``, in the
+    space pinned by each of ``prefixes`` in turn, and hand its leaves to
+    ``consume`` in visitation order, as (B, n, n) int64 arrays of
     LEAF_BUFFER tables (the last one may be shorter).
 
     ``consume`` returns False to stop the search.  Returns the number of
@@ -425,7 +400,8 @@ def _search_batched(
 
     count = 0
     for prefix in prefixes:
-        count += _dfs(n, fixed, filter_props, leaf, prefix)
+        fixed, residual = _space(n, props, prefix)
+        count += _dfs(n, fixed, residual, leaf)
         if stopped:
             return count
     if buf:
@@ -439,31 +415,35 @@ def enumerate_tables(
     filter: Optional[Iterable[PropertyId]] = None,
     visitor: Optional[Callable[[Table], object]] = None,
     prefix: Sequence[int] = (),
-    names: Optional[Sequence[str]] = None,
 ) -> int:
     """Visit every table of ``size`` satisfying ``base`` and ``filter``.
 
     Visitation is lexicographic over free cells scanned row-major; ``prefix``
-    fixes the first free cells of that space.  Returns the number of tables
+    pins the first free cells of that space.  Returns the number of tables
     visited; a visitor stops early by raising CallbackAbort or returning
-    False, in which case the partial count is returned.
+    False, in which case the partial count is returned.  With neither a
+    visitor nor a residual property to prune with, the count is closed-form.
     """
     filter_props = tuple(filter) if filter else ()
     _check_filter(filter_props)
     _check_size(size, filter_props)
-    fixed, residual = _space(size, (*base.props, *filter_props))
-    tnames = tuple(names) if names else default_names(size)
+    fixed, residual = _space(size, (*base.props, *filter_props), prefix)
+    if visitor is None and not residual:
+        return size ** (size * size - len(fixed))
 
     if visitor is None:
         leaf = None
     else:
-        n = size
+        names = default_names(size)
 
         def leaf(cells):
-            rows = tuple(tuple(cells[x * n : (x + 1) * n]) for x in range(n))
-            return visitor(Table(rows, tnames)) is not False
+            rows = tuple(tuple(cells[x * size : (x + 1) * size]) for x in range(size))
+            try:
+                return visitor(Table(rows, names)) is not False
+            except CallbackAbort:
+                return False
 
-    return _dfs(size, fixed, residual, leaf, prefix)
+    return _dfs(size, fixed, residual, leaf)
 
 
 @dataclass(frozen=True)
@@ -608,11 +588,12 @@ def _census_unit(unit: WorkUnit) -> CensusReport:
     """Classify one unit: by pruned search if its space leaves residual
     properties, else by materialising its contiguous index range."""
     n = unit.size
-    fixed, residual = _space(n, (*unit.base.props, *unit.filter))
+    props = (*unit.base.props, *unit.filter)
+    fixed, residual = _space(n, props)
     tally = _Tally()
     t0 = time.perf_counter()
     if residual:
-        total = _search_batched(n, fixed, residual, tally.add, unit.prefixes)
+        total = _search_batched(n, props, tally.add, unit.prefixes)
     else:
         width = n ** (n * n - len(fixed) - len(unit.prefixes[0]))
         lo = _prefix_index(unit.prefixes[0], n) * width
@@ -693,7 +674,6 @@ def find_minimal_model(
 
     for n in range(1, max_size + 1):
         _check_size(n, required)
-        fixed, residual = _space(n, required)
         found: list[np.ndarray] = []
 
         def consume(T: np.ndarray) -> bool:
@@ -703,7 +683,7 @@ def find_minimal_model(
                 found.append(T[0])
             return not len(T)
 
-        _search_batched(n, fixed, residual, consume)
+        _search_batched(n, required, consume)
         if found:
             return Table.make(found[0].tolist())
     return None

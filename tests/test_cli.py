@@ -126,6 +126,9 @@ def test_enumerate_count_only(capsys):
         "--filter", "Star", "StarStar", "Pi",
     )
     assert code == 0 and out == "count: 4\n"
+    # an unpruned space is counted in closed form, not walked
+    code, out, _ = run(capsys, "enumerate", "--size", "5", "--base", "RM", "--count-only")
+    assert code == 0 and out == "count: 152587890625\n"
 
 
 def test_claims_single(capsys):
@@ -206,6 +209,11 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     assert code == 2 and "--jobs" in err
     code, _, err = run(capsys, "claims", "verify", "--claim", "p2.1-0", "--jobs", "0")
     assert code == 2 and "--jobs" in err
+    # a zero budget is refused, not read as "no budget given"
+    code, _, err = run(capsys, "claims", "verify", "--claim", "th2", "--max-size", "0")
+    assert code == 3 and "budget" in err
+    code, _, err = run(capsys, "claims", "verify", "--max-size", "0", "--jobs", "2")
+    assert code == 3 and "budget" in err
     # ALG_JOBS gets the same check as --jobs
     monkeypatch.setenv("ALG_JOBS", "0")
     code, _, err = run(capsys, "find", "--class", "BCK", "--max-size", "2")

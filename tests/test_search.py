@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import E1_ROWS
+from conftest import E1_ROWS, tables
 from oracle import oracle_witness
 
 from implalg import PropertyId as P
 from implalg import Table
 from implalg.classes import REGISTRY
 from implalg.core import CORE_PROPS, signature_bit
-from implalg.props import signature_bits_bulk
+from implalg.props import FORMULAS, signature_bits_bulk
 from implalg.search import (
     BaseConstraint,
     CallbackAbort,
@@ -22,6 +22,7 @@ from implalg.search import (
     _batch_tables,
     _check_size,
     _check_unpruned,
+    _compile_one,
     census,
     census_filtered,
     enumerate_tables,
@@ -45,6 +46,7 @@ ANY, RM, RML = BaseConstraint.ANY, BaseConstraint.RM, BaseConstraint.RML
         (2, RML, 1),
         (3, RML, 9),
         (4, RML, 4096),
+        (5, RM, 5**16),  # count-only of an unpruned space is closed-form
     ],
 )
 def test_count_law(n, base, expected):
@@ -94,6 +96,26 @@ def test_pruned_equals_naive_combined_filters(props):
     pruned = []
     enumerate_tables(3, ANY, props, visitor=lambda t: pruned.append(t.cells))
     assert pruned == _naive_filter_tables(3, ANY, list(props))
+
+
+@given(table=tables(max_size=4), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_compiled_instances_answer_with_the_instance_codes(table, data):
+    # -2 holds, -1 fails on a full table; on a partial one, the same code
+    # or the index of an unassigned cell the instance is blocked on
+    n = table.size
+    cells = [v for row in table.cells for v in row]
+    holes = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    partial = [-1 if hole else v for v, hole in zip(cells, holes)]
+    for prop in CORE_PROPS:
+        formula = FORMULAS[prop]
+        for a in itertools.product(range(n), repeat=formula.arity):
+            inst = _compile_one(formula, a, n)
+            code = -2 if inst is None else inst(cells)
+            assert code == (-2 if formula.holds_at(table, a) else -1), (prop, a)
+            if inst is not None:
+                r = inst(partial)
+                assert r == code or (r >= 0 and partial[r] == -1), (prop, a, r)
 
 
 def test_filtered_enumeration_under_bases():
@@ -155,16 +177,24 @@ def test_partition_work_spec_shapes():
 
 
 def test_partition_units_cover_space_disjointly():
-    units = partition_work(3, RM, 7)
-    counts = []
-    seen = []
-    for u in units:
-        for prefix in u.prefixes:
+    # an unpruned space, and a residual one whose prefixes can be pruned away
+    for base, props, total in ((RM, (), 81), (RML, (P.B, P.Tr), 6)):
+        everything = []
+        enumerate_tables(3, base, props, visitor=lambda t: everything.append(t.cells))
+        units = partition_work(3, base, 7, props)
+        prefixes = [prefix for u in units for prefix in u.prefixes]
+        counts = []
+        seen = []
+        for prefix in prefixes:
             counts.append(
-                enumerate_tables(3, RM, prefix=prefix, visitor=lambda t: seen.append(t.cells))
+                enumerate_tables(3, base, props, prefix=prefix, visitor=lambda t: seen.append(t.cells))
             )
-    assert sum(counts) == 81
-    assert len(set(seen)) == 81
+        assert seen == everything  # in order, so disjoint and covering
+        assert sum(counts) == len(set(seen)) == len(everything) == total
+        assert [enumerate_tables(3, base, props, prefix=p) for p in prefixes] == counts
+        with pytest.raises(ValueError, match="prefix longer"):
+            enumerate_tables(3, base, props, prefix=(0,) * (len(base.free_cells(3)) + 1))
+    assert enumerate_tables(5, RM, prefix=(0, 1)) == 5**14
 
 
 @pytest.mark.parametrize("shards", [1, 2, 7])
