@@ -21,6 +21,7 @@ cross-references drift.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -515,23 +516,26 @@ def verify_all(
 ) -> ClaimsReport:
     """Run every claim at its budget; failures are report entries, not raises.
 
-    Equivalence claims appear twice in the report, once per direction.
+    Equivalence claims appear twice in the report, once per direction.  A
+    budget that ``verify_claim`` would refuse raises SizeTooLarge before any
+    claim runs or any worker starts.
     """
     _check_jobs(jobs)
     budgets = budgets or {}
     todo = list(claims) if claims is not None else list(CLAIMS)
     args = []
     for c in todo:
+        budget = budgets.get(c.id)
+        if budget is not None:
+            _check_budget(c, budget)
         if c.kind == "equiv":
-            args.append((c.id, budgets.get(c.id), "fwd"))
-            args.append((c.id, budgets.get(c.id), "bwd"))
+            args.append((c.id, budget, "fwd"))
+            args.append((c.id, budget, "bwd"))
         else:
-            args.append((c.id, budgets.get(c.id), None))
+            args.append((c.id, budget, None))
     t0 = time.perf_counter()
     report = ClaimsReport()
     if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             report.outcomes = list(pool.map(_verify_worker, args))
     else:

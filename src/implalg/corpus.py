@@ -42,26 +42,6 @@ class CorpusEntry:
     notes: str = ""
 
 
-def _textual_var_order(prop: PropertyId) -> tuple[int, ...]:
-    """Variable indices in first-occurrence order of the formula text."""
-    formula = FORMULAS[prop]
-    seen: list[int] = []
-
-    def walk(t):
-        if t[0] == "var" and t[1] not in seen:
-            seen.append(t[1])
-        elif t[0] == "arrow":
-            walk(t[1])
-            walk(t[2])
-
-    for pa, pb in formula.premises:
-        walk(pa)
-        walk(pb)
-    walk(formula.conclusion[0])
-    walk(formula.conclusion[1])
-    return tuple(seen)
-
-
 def _witness_violates(table: Table, prop: PropertyId, witness: tuple[int, ...]) -> Optional[str]:
     """Reading under which the stated witness violates, or None."""
     formula = FORMULAS[prop]
@@ -75,8 +55,8 @@ def _witness_violates(table: Table, prop: PropertyId, witness: tuple[int, ...]) 
         zero = zb[0]
     if not formula.holds_at(table, witness, zero):
         return "xyz"
-    torder = _textual_var_order(prop)
-    if len(torder) == formula.arity and tuple(torder) != tuple(range(formula.arity)):
+    torder = formula.variables
+    if len(torder) == formula.arity and torder != tuple(range(formula.arity)):
         assignment = [0] * formula.arity
         for k, var in enumerate(torder):
             assignment[var] = witness[k]

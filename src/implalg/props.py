@@ -5,9 +5,11 @@ the zero of a bounded table, and the arrow operation) plus a formula shape:
 an equation, a Horn conditional, or a biconditional.  The same definition
 drives two consumers:
 
-  * the batch kernel ``_violation_mask``, which evaluates a formula over many
-    tables and all assignments at once (numpy).  The census, every search
-    leaf check and every scalar verdict go through it; a verdict on one table
+  * the batch kernel, which evaluates formulas over many tables and all
+    assignments at once (numpy): a formula tuple is lowered once into a plan
+    that computes each shared arrow subterm once, over flat uint8 cells, and
+    frees it after its last reader.  The census, every search leaf check
+    and every scalar verdict go through it; a verdict on one table
     (``eval_property``, ``eval_all``, ``Formula.holds_at``, ``find_zero``) is
     a one-table batch;
   * instance compilation for the pruned enumerator (see search module).
@@ -19,6 +21,7 @@ scanning x outermost, and elements in index order (the constant 1 last).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,6 +32,7 @@ from .core import (
     EvalResult,
     PropertyId,
     PropertySignature,
+    SIGNATURE_PROPS,
     Table,
     Witness,
     signature_bit,
@@ -59,9 +63,10 @@ def arr(a, b):
     return ("arrow", a, b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Formula:
-    """One axiom: universally quantified over ``arity`` variables.
+    """One axiom: universally quantified over ``arity`` variables.  Each
+    axiom is one object, so formulas hash and compare by identity.
 
     kind:
       * ``eq``   - conclusion equation must hold for every assignment;
@@ -79,16 +84,13 @@ class Formula:
 
     @property
     def uses_zero(self) -> bool:
-        def walk(t):
-            if t[0] == "zero":
-                return True
-            if t[0] == "arrow":
-                return walk(t[1]) or walk(t[2])
-            return False
+        return _LEAVES.index(ZERO) in _plan((self,))[1]
 
-        terms = [t for pair in self.premises for t in pair]
-        terms += list(self.conclusion)
-        return any(walk(t) for t in terms)
+    @property
+    def variables(self) -> tuple[int, ...]:
+        """Variable indices in first-occurrence order of the formula text,
+        premises first (the plan references of x, y and z are 0, 1, 2)."""
+        return tuple(r for r in _plan((self,))[1] if r < 3)
 
     def holds_at(self, table: Table, assignment: Sequence[int], zero: Optional[int] = None) -> bool:
         """Evaluate this formula at one concrete assignment (total)."""
@@ -146,31 +148,83 @@ FORMULAS: dict[PropertyId, Formula] = {
     ]
 }
 FORMULAS[PropertyId.MP] = FORMULAS[PropertyId.N]
+_BOUNDED_FORMULAS = tuple(FORMULAS[p] for p in SIGNATURE_PROPS if p in BOUNDED_PROPS)
 
 
 # ---------------------------------------------------------------------------
-# Batch evaluation engine.
-#
-# Tables come in as an int array of shape (B, n, n); every formula is
-# evaluated for all B tables and all n^arity assignments in one broadcasted
-# pass.  Assignment axes are (x, y, z) after the batch axis, so C-order over
-# the violation mask is exactly the lexicographic witness order.
+# Batch evaluation engine.  Every value lives in one (B, n, n, n) frame whose
+# x, y and z axes are sparse, so C order over a mask is the witness order.
 # ---------------------------------------------------------------------------
 
+#: The operand references 0..4 of a plan; each arrow subterm gets the next.
+_LEAVES = (X, Y, Z, ONE, ZERO)
 
-def _term_values(term, T, axes, batch_idx, one, zero_arr):
-    k = term[0]
-    if k == "var":
-        return axes[term[1]]
-    if k == "one":
-        return one
-    if k == "zero":
-        if zero_arr is None:
-            raise ValueError("formula needs a zero element")
-        return zero_arr
-    a = _term_values(term[1], T, axes, batch_idx, one, zero_arr)
-    b = _term_values(term[2], T, axes, batch_idx, one, zero_arr)
-    return T[batch_idx, a, b]
+
+@lru_cache(maxsize=256)
+def _plan(formulas: tuple) -> tuple[tuple, tuple[int, ...]]:
+    """One step per formula: the ops ``(ref, left, right)`` that first
+    compute its subterms (ref = left -> right), its kind, its premise and
+    conclusion reference pairs, and the subterm refs it reads last.  Also
+    every reference, in the order first read: the text order of the terms."""
+    ref = {leaf: k for k, leaf in enumerate(_LEAVES)}
+    last_read: dict[int, int] = {}
+    steps = []
+
+    def lower(term, ops):
+        if term not in ref:
+            left, right = lower(term[1], ops), lower(term[2], ops)
+            ref[term] = len(ref)
+            ops.append((ref[term], left, right))
+        last_read[ref[term]] = i
+        return ref[term]
+
+    for i, f in enumerate(formulas):
+        ops: list = []
+        premises = tuple((lower(a, ops), lower(b, ops)) for a, b in f.premises)
+        conclusion = (lower(f.conclusion[0], ops), lower(f.conclusion[1], ops))
+        steps.append((tuple(ops), f.kind, premises, conclusion))
+    steps = tuple(
+        (*step, tuple(r for r, k in last_read.items() if k == i and r >= len(_LEAVES)))
+        for i, step in enumerate(steps)
+    )
+    return steps, tuple(last_read)
+
+
+@lru_cache(maxsize=32)
+def _axes(n: int) -> tuple:
+    """The sparse x, y and z axes of the (B, n, n, n) frame."""
+    x = np.arange(n).reshape(n, 1, 1)
+    x.flags.writeable = False
+    return x, x.reshape(n, 1), x.reshape(n)
+
+
+def _masks(formulas: tuple, T: np.ndarray, zero_arr=None):
+    """Yield each formula's violation mask over the (B, n, n) batch ``T`` in
+    the (B, n, n, n) frame, whose axes past the formula's arity have size 1.
+    ``zero_arr`` is as for ``_violation_mask``.  A subterm's values are
+    dropped once its last reader has been yielded."""
+    steps, reads = _plan(formulas)
+    if zero_arr is None and _LEAVES.index(ZERO) in reads:
+        raise ValueError("formula needs a zero element")
+    B, n, _ = T.shape
+    one = n - 1
+    # cells in the narrowest type that holds them; flat indices in intp
+    flat = T.astype(np.min_scalar_type(one)).ravel()
+    rows = np.arange(0, B * n, n).reshape(B, 1, 1, 1)
+    zero = None if zero_arr is None else np.asarray(zero_arr).reshape(-1, 1, 1, 1)
+    env = dict(enumerate((*_axes(n), one, zero)))
+    for ops, kind, premises, (ca, cb), last_read in steps:
+        for r, left, right in ops:
+            env[r] = flat.take((rows + env[left]) * n + env[right])
+        if kind == "iff":
+            viol = (env[ca] == one) != (env[cb] == one)
+        else:
+            viol = env[ca] != env[cb]
+            for pa, pb in premises:
+                viol = viol & (env[pa] == env[pb])
+        yield viol
+        for r in last_read:
+            del env[r]
 
 
 def _violation_mask(formula: Formula, T: np.ndarray, zero_arr=None) -> np.ndarray:
@@ -178,27 +232,8 @@ def _violation_mask(formula: Formula, T: np.ndarray, zero_arr=None) -> np.ndarra
 
     ``zero_arr`` gives each table's zero, for formulas that use it (a
     scalar when B is 1)."""
-    B, n, _ = T.shape
-    arity = formula.arity
-    shape = (B,) + (n,) * arity
-    batch_idx, *axes = np.indices(shape, sparse=True)
-    if zero_arr is not None:
-        zero_arr = np.asarray(zero_arr).reshape((B,) + (1,) * arity)
-    one = n - 1
-
-    def ev(t):
-        return _term_values(t, T, axes, batch_idx, one, zero_arr)
-
-    if formula.kind == "iff":
-        ta, tb = formula.conclusion
-        viol = (ev(ta) == one) != (ev(tb) == one)
-    else:
-        ta, tb = formula.conclusion
-        viol = ev(ta) != ev(tb)
-        for (pa, pb) in formula.premises:
-            viol = viol & (ev(pa) == ev(pb))
-    # Broadcast up in case no term touched some axis (constant formulas).
-    return viol if viol.shape == shape else np.broadcast_to(viol, shape)
+    (viol,) = _masks((formula,), T, zero_arr)
+    return viol.reshape(T.shape[:1] + T.shape[1:2] * formula.arity)
 
 
 def _holds(formula: Formula, T: np.ndarray, zero_arr=None) -> np.ndarray:
@@ -226,11 +261,13 @@ def _zero_rows(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return full.argmax(axis=1), full.sum(axis=1) == 1, (T[:, :, one] == one).all(axis=1)
 
 
+@lru_cache(maxsize=64)
 def find_zero(table: Table) -> Optional[tuple[int, bool]]:
     """Unique element whose row is all 1, with the boundedness flag.
 
     Returns None when no zero exists or several rows qualify; bounded means
-    a zero exists and (L) holds.
+    a zero exists and (L) holds.  Cached per table, since every bounded
+    verdict on a table needs it.
     """
     zero, unique, l_holds = _zero_rows(_one_batch(table))
     return (int(zero[0]), bool(l_holds[0])) if unique[0] else None
@@ -278,9 +315,9 @@ def eval_all(table: Table) -> PropertySignature:
     zb = find_zero(table)
     bounded = bool(zb and zb[1])
     if bounded:
-        for prop in BOUNDED_PROPS:
-            if _holds(FORMULAS[prop], T, zb[0])[0]:
-                bits |= 1 << signature_bit(prop)
+        for formula, viol in zip(_BOUNDED_FORMULAS, _masks(_BOUNDED_FORMULAS, T, zb[0])):
+            if not viol.any():
+                bits |= 1 << signature_bit(formula.prop)
     return PropertySignature(bits=bits, bounded=bounded, zero=zb[0] if zb else None)
 
 
@@ -298,10 +335,10 @@ def signature_bits_bulk(T: np.ndarray, props: Sequence[PropertyId]) -> np.ndarra
     ``T`` is (B, n, n) int; the result is a uint64 bit array laid out exactly
     like PropertySignature.bits so class masks apply directly.
     """
+    if any(prop in BOUNDED_PROPS for prop in props):
+        raise ValueError("bulk evaluation covers core properties only")
     bits = np.zeros(len(T), dtype=np.uint64)
-    for prop in props:
-        if prop in BOUNDED_PROPS:
-            raise ValueError("bulk evaluation covers core properties only")
-        ok = _holds(FORMULAS[prop], T)
+    for prop, viol in zip(props, _masks(tuple(FORMULAS[p] for p in props), T)):
+        ok = ~viol.reshape(len(T), -1).any(axis=1)
         bits |= ok.astype(np.uint64) << np.uint64(signature_bit(prop))
     return bits

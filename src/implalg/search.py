@@ -125,6 +125,8 @@ def _space(
         free = [c for c in range(n * n) if c not in fixed]
         if len(prefix) > len(free):
             raise ValueError("prefix longer than the number of free cells")
+        if not all(0 <= v < n for v in prefix):
+            raise ValueError(f"prefix values must lie in 0..{n - 1}: {tuple(prefix)}")
         fixed.update(zip(free, prefix))
     return fixed, tuple(residual)
 

@@ -6,6 +6,7 @@ from oracle import oracle_witness, oracle_zero
 
 from implalg import PropertyId as P
 from implalg import Table, eval_property
+from implalg import claims as claims_mod
 from implalg.claims import (
     CLAIMS,
     claim_by_id,
@@ -161,6 +162,19 @@ def test_budget_guards():
     assert default_max_size(claim_by_id("def-bci-logic.bwd")) == 4
     # Horn-only residual filters stay at size 3
     assert default_max_size(claim_by_id("p2.1-13p")) == 3
+
+
+def test_budgets_checked_before_the_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(claims_mod, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(SizeTooLarge, match="budget"):
+        verify_all({"th2": 0}, jobs=2)
+    # a bad budget on a later claim is refused before the first one runs
+    todo = [claim_by_id("th2"), claim_by_id("p2.1-0")]
+    with pytest.raises(SizeTooLarge, match="needs \\(M\\)"):
+        verify_all({"th2": 3, "p2.1-0": 4}, todo, jobs=2)
 
 
 def test_bounded_claims_skip_unbounded_tables():

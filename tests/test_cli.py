@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from implalg import claims as claims_mod
 from implalg.cli import main
 from implalg.io import parse_table_record
 
@@ -21,6 +22,10 @@ def bool2_file(tmp_path):
     p = tmp_path / "bool2.tbl"
     p.write_text("elements: a 1\n1 1\na 1\n")
     return str(p)
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
 
 
 def run(capsys, *argv):
@@ -212,6 +217,8 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     # a zero budget is refused, not read as "no budget given"
     code, _, err = run(capsys, "claims", "verify", "--claim", "th2", "--max-size", "0")
     assert code == 3 and "budget" in err
+    # refused before a worker pool starts
+    monkeypatch.setattr(claims_mod, "ProcessPoolExecutor", _no_pool)
     code, _, err = run(capsys, "claims", "verify", "--max-size", "0", "--jobs", "2")
     assert code == 3 and "budget" in err
     # ALG_JOBS gets the same check as --jobs

@@ -1,18 +1,28 @@
 import itertools
+import random
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tables
 from oracle import oracle_witness, oracle_zero
 
 from implalg import PropertyId as P
+from implalg import props
 from implalg import Table, eval_all, eval_bounded_property, eval_property, find_zero
 from implalg.core import BOUNDED_PROPS, CORE_PROPS, SIGNATURE_PROPS, signature_bit
 from implalg.classes import REGISTRY
-from implalg.props import FORMULAS, find_zero_bulk, signature_bits_bulk
+from implalg.props import (
+    FORMULAS,
+    _first_witness,
+    _masks,
+    _violation_mask,
+    find_zero_bulk,
+    signature_bits_bulk,
+)
 from implalg.search import BaseConstraint, _batch_tables
 
 
@@ -69,6 +79,123 @@ def test_find_zero_examples(e1, one_elt):
     zero, bounded = find_zero_bulk(np.array([e1.cells, t.cells, [[0, 0, 2], [2, 2, 2], [0, 1, 2]]]))
     assert zero[0] == 1 and zero[2] == 1
     assert bounded.tolist() == [False, False, True]
+
+
+def test_zero_found_once_per_table(e1, monkeypatch):
+    calls = []
+    zero_rows = props._zero_rows
+    monkeypatch.setattr(props, "_zero_rows", lambda T: calls.append(len(T)) or zero_rows(T))
+    find_zero.cache_clear()
+    rml5 = Table.make(
+        [[4, 4, 4, 4, 4], [3, 4, 4, 4, 4], [2, 1, 4, 4, 4], [1, 4, 1, 4, 4], [0, 1, 2, 3, 4]]
+    )
+    for table in (rml5, e1):
+        sig = eval_all(table)
+        verdicts = [eval_bounded_property(table, p) for p in sorted(BOUNDED_PROPS, key=str)]
+        assert all(v.applicable == sig.bounded for v in verdicts)
+    assert calls == [1, 1]
+    # the zero is reported even when (L) fails
+    assert eval_all(e1).zero == 1 and not eval_all(e1).bounded
+
+
+def _hilbert_chain(n, names=None):
+    # x -> y is 1 when x <= y and y otherwise: a linearly ordered Hilbert algebra
+    return Table.make([[n - 1 if x <= y else y for y in range(n)] for x in range(n)], names)
+
+
+def _random_table(n, seed):
+    rng = random.Random(seed)
+    return Table.make([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+
+
+def _assert_verdicts_match_oracle(table, props):
+    zb = oracle_zero(table)
+    assert find_zero(table) == zb
+    bounded = bool(zb and zb[1])
+    sig = eval_all(table)
+    for prop in props:
+        if prop in BOUNDED_PROPS:
+            res = eval_bounded_property(table, prop)
+            assert res.applicable == bounded, prop
+            if not bounded:
+                continue
+            expected = oracle_witness(table, prop.value, zero=zb[0])
+        else:
+            res = eval_property(table, prop)
+            expected = oracle_witness(table, prop.value)
+        assert (res.satisfied, res.witness) == (expected is None, expected), prop
+        assert sig.has(prop) == (expected is None), prop
+
+
+@pytest.mark.parametrize(
+    "table", [_hilbert_chain(20), _random_table(17, 5)], ids=["hilbert-chain-20", "random-17"]
+)
+def test_verdicts_exact_where_cell_indices_pass_255(table):
+    # a*n+b passes 255 from n = 17 on: every verdict and witness is still exact
+    _assert_verdicts_match_oracle(table, SIGNATURE_PROPS)
+
+
+def test_verdicts_exact_where_cell_values_pass_255():
+    # from n = 257 on a cell value needs more than 8 bits; arity <= 2 keeps it small
+    n = 257
+    table = _hilbert_chain(n, [f"e{i}" for i in range(n - 1)] + ["1"])
+    assert table.cells[n - 2][0] == 0 and table.cells[0][n - 2] == n - 1
+    props = [p for p in SIGNATURE_PROPS if FORMULAS[p].arity <= 2]
+    _assert_verdicts_match_oracle(table, props)
+
+
+@st.composite
+def batches(draw):
+    """(B, n, n) int arrays of random tables, some forced bounded (zero 0)."""
+    n = draw(st.integers(1, 4))
+    B = draw(st.integers(1, 8))
+    cells = draw(st.lists(st.integers(0, n - 1), min_size=B * n * n, max_size=B * n * n))
+    T = np.array(cells, dtype=np.int64).reshape(B, n, n)
+    bounded = draw(st.lists(st.booleans(), min_size=B, max_size=B))
+    T[bounded, 0, :] = n - 1
+    T[bounded, :, n - 1] = n - 1
+    return T
+
+
+def _oracle_witnesses(T, prop, zero=None):
+    zeros = [None] * len(T) if zero is None else zero.tolist()
+    return [oracle_witness(Table.make(c.tolist()), prop.value, zero=z) for c, z in zip(T, zeros)]
+
+
+@given(
+    batches(),
+    st.lists(st.sampled_from(CORE_PROPS), unique=True),
+    st.lists(st.sampled_from(SIGNATURE_PROPS), unique=True),
+)
+@settings(max_examples=120, deadline=None)
+def test_shared_plan_matches_single_formulas_and_oracle(T, subset, mixed):
+    # a slot freed too early or a wrong shared-subterm key would make the
+    # answer depend on which formulas share the plan, and in which order
+    B, n, _ = T.shape
+    bits = signature_bits_bulk(T, subset)
+    alone = np.zeros(B, dtype=np.uint64)
+    for prop in subset:
+        alone |= signature_bits_bulk(T, [prop])
+    assert bits.tolist() == alone.tolist()
+    for prop in subset:
+        holds = (bits >> np.uint64(signature_bit(prop))) & np.uint64(1)
+        assert holds.tolist() == [int(w is None) for w in _oracle_witnesses(T, prop)], prop
+    zero, bounded = find_zero_bulk(T)
+    for prop in SIGNATURE_PROPS:
+        f = FORMULAS[prop]
+        rows = np.flatnonzero(bounded) if prop in BOUNDED_PROPS else np.arange(B)
+        z = zero[rows] if prop in BOUNDED_PROPS else None
+        viol = _violation_mask(f, T[rows], z)
+        assert viol.shape == (len(rows),) + (n,) * f.arity
+        got = [_first_witness(v, f.arity, n) for v in viol]
+        assert got == _oracle_witnesses(T[rows], prop, z), prop
+    # core and bounded formulas in one plan, on the bounded tables
+    rows = np.flatnonzero(bounded)
+    if rows.size:
+        formulas = tuple(FORMULAS[p] for p in mixed)
+        for f, viol in zip(formulas, _masks(formulas, T[rows], zero[rows])):
+            got = viol.reshape(len(rows), -1).any(axis=1).tolist()
+            assert got == [w is not None for w in _oracle_witnesses(T[rows], f.prop, zero[rows])]
 
 
 def test_bounded_on_unbounded_is_inapplicable(e1):

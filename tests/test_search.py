@@ -194,6 +194,10 @@ def test_partition_units_cover_space_disjointly():
         assert [enumerate_tables(3, base, props, prefix=p) for p in prefixes] == counts
         with pytest.raises(ValueError, match="prefix longer"):
             enumerate_tables(3, base, props, prefix=(0,) * (len(base.free_cells(3)) + 1))
+        # a prefix value is a cell value of the space
+        for bad in ((3,), (5,), (0, -1)):
+            with pytest.raises(ValueError, match="prefix values"):
+                enumerate_tables(3, base, props, prefix=bad)
     assert enumerate_tables(5, RM, prefix=(0, 1)) == 5**14
 
 
