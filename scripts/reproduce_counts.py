@@ -57,12 +57,12 @@ def main() -> int:
     failures = 0
 
     r2 = census(2, BaseConstraint.RM)
-    print(f"size 2, RM base: {r2.total} tables "
+    print(f"size 2, RM base: {r2.total} tables ({r2.classified} classified) "
           f"(BCI={r2.per_class['BCI']}, BCK={r2.per_class['BCK']}, Hilbert={r2.per_class['Hilbert']})")
     failures += r2.total != 2
 
     r3 = census(3, BaseConstraint.RM)
-    print(f"size 3, RM base: {r3.total} tables in {r3.elapsed:.2f}s")
+    print(f"size 3, RM base: {r3.total} tables ({r3.classified} classified) in {r3.elapsed:.2f}s")
     d_splits = _d_splits_size3()
     for cid, want in EXPECTED_SIZE3.items():
         got = r3.per_proper[cid]
@@ -74,7 +74,7 @@ def main() -> int:
           f"{'ok' if r3.per_class['Hilbert'] == 3 else 'MISMATCH'}")
 
     r4 = census(4, BaseConstraint.RM, jobs=args.jobs)
-    print(f"size 4, RM base: {r4.total} tables in {r4.elapsed:.1f}s")
+    print(f"size 4, RM base: {r4.total} tables ({r4.classified} classified) in {r4.elapsed:.1f}s")
     for cid, want in [("pre-BZ", 0), ("pre-BCC", 0), ("pre-BBBCC", 0)]:
         got = r4.per_proper[cid]
         print(f"  proper {cid:<12} {got}  {'ok' if got == want else 'MISMATCH'}")
@@ -84,7 +84,8 @@ def main() -> int:
     if args.full:
         r5 = census(5, BaseConstraint.RML, filter={P.B, P.BB, P.Pimpl}, jobs=args.jobs)
         got = r5.per_proper["pimpl-pre-BBBCC"]
-        print(f"size 5, RML base, filter B+BB+pimpl: {r5.total} tables in {r5.elapsed:.1f}s")
+        print(f"size 5, RML base, filter B+BB+pimpl: {r5.total} tables "
+              f"({r5.classified} classified) in {r5.elapsed:.1f}s")
         print(f"  proper pimpl-pre-BBBCC {got}  {'ok' if got == 60 else 'MISMATCH (expected 60)'}")
         failures += got != 60
 

@@ -132,7 +132,7 @@ def _census_text(report: CensusReport) -> str:
     head = (
         f"census size={report.size} base={report.base.value}"
         + (f" filter={','.join(p.value for p in report.filter)}" if report.filter else "")
-        + f" total={report.total} elapsed={report.elapsed:.2f}s"
+        + f" total={report.total} classified={report.classified} elapsed={report.elapsed:.2f}s"
     )
     lines = [head, f"{'class':<18}{'members':>10}{'proper':>10}"]
     for d in REGISTRY.defs:

@@ -20,7 +20,10 @@ import json
 import warnings
 from typing import Optional
 
+import numpy as np
+
 from .core import Table
+from .props import relabelings
 
 __all__ = [
     "ParseError",
@@ -141,15 +144,11 @@ def emit_table(table: Table, format: str = "text") -> str:
 
 
 def are_isomorphic(t1: Table, t2: Table) -> bool:
-    """True iff some bijection fixing 1 carries t1's operation onto t2's."""
+    """True iff some bijection fixing 1 carries t1's operation onto t2's:
+    t2 is one of the (n-1)! relabelings of t1, all built at once."""
     n = t1.size
     if t2.size != n:
         raise SizeMismatch(f"sizes differ: {n} vs {t2.size}")
-    import itertools
-
-    c1, c2 = t1.cells, t2.cells
-    for perm in itertools.permutations(range(n - 1)):
-        p = perm + (n - 1,)
-        if all(p[c1[x][y]] == c2[p[x]][p[y]] for x in range(n) for y in range(n)):
-            return True
-    return False
+    perms, src = relabelings(n)
+    images = np.take_along_axis(perms, np.ravel(t1.cells)[src], axis=1)
+    return bool((images == np.ravel(t2.cells)).all(axis=1).any())

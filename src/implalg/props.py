@@ -16,10 +16,15 @@ drives two consumers:
 
 Witnesses are reported in the property's printed variable order (x, y, z),
 scanning x outermost, and elements in index order (the constant 1 last).
+
+Every axiom is invariant under the relabelings of the elements that fix 1;
+``relabelings`` builds them once per size for the census's orbit leaders and
+``io.are_isomorphic``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -48,6 +53,7 @@ __all__ = [
     "find_zero_bulk",
     "signature_bits_bulk",
     "needed_props",
+    "relabelings",
 ]
 
 # Term trees: ("var", k) with k in 0..2 for x,y,z; ("one",); ("zero",);
@@ -239,7 +245,12 @@ def _violation_mask(formula: Formula, T: np.ndarray, zero_arr=None) -> np.ndarra
 def _holds(formula: Formula, T: np.ndarray, zero_arr=None) -> np.ndarray:
     """Per table of the (B, n, n) batch: does ``formula`` hold at every
     assignment?"""
-    return ~_violation_mask(formula, T, zero_arr).reshape(len(T), -1).any(axis=1)
+    return ~_any_per_table(_violation_mask(formula, T, zero_arr))
+
+
+def _any_per_table(mask: np.ndarray) -> np.ndarray:
+    """Per table of a (B, ...) mask: is any entry set?  Also for B = 0."""
+    return mask.any(axis=tuple(range(1, mask.ndim)))
 
 
 def _first_witness(viol_row: np.ndarray, arity: int, n: int) -> Optional[Witness]:
@@ -339,6 +350,25 @@ def signature_bits_bulk(T: np.ndarray, props: Sequence[PropertyId]) -> np.ndarra
         raise ValueError("bulk evaluation covers core properties only")
     bits = np.zeros(len(T), dtype=np.uint64)
     for prop, viol in zip(props, _masks(tuple(FORMULAS[p] for p in props), T)):
-        ok = ~viol.reshape(len(T), -1).any(axis=1)
+        ok = ~_any_per_table(viol)
         bits |= ok.astype(np.uint64) << np.uint64(signature_bit(prop))
     return bits
+
+
+@lru_cache(maxsize=8)
+def relabelings(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n-1)! relabelings of the size-n tables: the permutations p of
+    0..n-1 that fix the constant 1 (index n-1), the identity first.
+
+    Returns ``(perms, src)``, read-only, of shapes ((n-1)!, n) and
+    ((n-1)!, n*n).  The relabeled table p(T), with p(T)[p(x)][p(y)] =
+    p(T[x][y]), has the flat cells ``perms[k][flat[src[k]]]``: cell c of the
+    image reads the source cell ``src[k][c]``.
+    """
+    perms = np.array(
+        [(*p, n - 1) for p in itertools.permutations(range(n - 1))], dtype=np.intp
+    ).reshape(-1, n)
+    inv = np.argsort(perms, axis=1)
+    src = (inv[:, :, None] * n + inv[:, None, :]).reshape(len(perms), n * n)
+    perms.flags.writeable = src.flags.writeable = False
+    return perms, src

@@ -28,21 +28,31 @@ A census without a residual needs no search: all tables of a lexicographic
 index range are materialised as one numpy batch and classified via signature
 bit masks.  Both paths agree; the test suite checks pruned against naive
 enumeration and sharded against single-shard censuses.
+
+The materialised census classifies one table per relabeling orbit.  Every
+base and every core axiom is built from variables, 1 and the arrow, so each
+space is closed under the (n-1)! relabelings that fix 1 and each class is a
+union of orbits.  Of each batch only the orbits' lexicographic leaders go to
+the kernel, each counted with the weight (n-1)!/|Aut(T)|, the size of its
+orbit; the index ranges of the shards cover the space, so each leader is
+seen exactly once.  A pruned census classifies every leaf it visits.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .core import BOUNDED_PROPS, ClassDef, PropertyId, Table, default_names, signature_mask
 from .classes import REGISTRY, ClassRegistry, UnknownClass
-from .props import FORMULAS, needed_props, signature_bits_bulk
+from .props import FORMULAS, needed_props, relabelings, signature_bits_bulk
 
 __all__ = [
     "SizeTooLarge",
@@ -504,6 +514,9 @@ class CensusReport:
     per_proper: dict[str, int]
     elapsed: float = 0.0
     filter: tuple[PropertyId, ...] = ()
+    #: Tables the kernel classified: one per relabeling orbit when the census
+    #: materialises its space, every leaf when it prunes; ``total`` counts all.
+    classified: int = 0
 
     def merged_with(self, other: "CensusReport") -> "CensusReport":
         if (self.size, self.base, self.filter) != (other.size, other.base, other.filter):
@@ -518,6 +531,7 @@ class CensusReport:
             per_proper,
             self.elapsed + other.elapsed,
             self.filter,
+            self.classified + other.classified,
         )
 
     def to_record(self) -> dict:
@@ -526,6 +540,7 @@ class CensusReport:
             "base": self.base.value,
             "filter": [p.value for p in self.filter],
             "total": self.total,
+            "classified": self.classified,
             "per_class": dict(self.per_class),
             "per_proper": dict(self.per_proper),
             "elapsed_s": round(self.elapsed, 3),
@@ -540,8 +555,50 @@ def _proper_mask(T: np.ndarray, cdef: ClassDef, given: Iterable[PropertyId] = ()
     return cdef.is_proper(bits | np.uint64(signature_mask(given)))
 
 
+@lru_cache(maxsize=8)
+def _code_weights(n: int) -> tuple[np.ndarray, int]:
+    """Weights that turn one-hot size-n tables into the lexicographic codes
+    of all their relabelings at once.
+
+    With ``W, groups = _code_weights(n)``, row (c, v) of W belongs to "cell c
+    holds v", and ``onehot @ W`` reshaped to (B, groups, (n-1)!) gives per
+    table and relabeling k (``relabelings(n)`` order, identity first) the
+    base-n codes of the image's cells in row-major order, split into groups
+    of at most 53 bits so that float64 holds every code exactly.  Comparing
+    the groups in order compares the images lexicographically."""
+    perms, src = relabelings(n)
+    cells = n * n
+    width = max(k for k in range(1, cells + 1) if n**k <= 2**53)
+    groups = -(-cells // width)
+    group, place = np.divmod(np.arange(cells), width)
+    power = float(n) ** (np.minimum(width, cells - group * width) - 1 - place)
+    W = np.zeros((cells, n, groups, len(perms)))
+    # image cell c of relabeling k reads source cell src[k, c] and maps its value v to p[v]
+    W[src, :, group, np.arange(len(perms))[:, None]] = power[:, None] * perms[:, None, :]
+    W.flags.writeable = False
+    return W.reshape(cells * n, groups * len(perms)), groups
+
+
+def _orbit_weights(T: np.ndarray) -> np.ndarray:
+    """Per table of the (B, n, n) batch: 0 unless it is the lexicographic
+    leader (row-major cells) of its relabeling orbit, else the orbit's size
+    (n-1)!/|Aut(T)|, where Aut(T) holds the relabelings that fix T."""
+    B, n, _ = T.shape
+    W, groups = _code_weights(n)
+    onehot = np.eye(n).take(T.reshape(B, n * n), axis=0).reshape(B, -1)
+    codes = (onehot @ W).reshape(B, groups, -1)
+    smaller = np.zeros((B, codes.shape[2]), dtype=bool)
+    equal = np.ones_like(smaller)
+    for g in range(groups):
+        image, own = codes[:, g], codes[:, g, :1]
+        smaller |= equal & (image < own)
+        equal &= image == own
+    return np.where(smaller.any(axis=1), 0, math.factorial(n - 1) // equal.sum(axis=1))
+
+
 class _Tally:
-    """Per-class and per-proper member counts over batches of tables."""
+    """Per-class and per-proper member counts over batches of tables, with
+    the number of tables the kernel classified."""
 
     def __init__(self, registry: ClassRegistry = REGISTRY):
         self.defs = registry.defs
@@ -550,13 +607,19 @@ class _Tally:
         self.props = needed_props(*sets)
         self.per_class = {d.id: 0 for d in self.defs}
         self.per_proper = {d.id: 0 for d in self.defs if d.proper_forbidden is not None}
+        self.classified = 0
 
-    def add(self, T: np.ndarray) -> None:
+    def add(self, T: np.ndarray, w: Optional[np.ndarray] = None) -> None:
+        """Classify the (B, n, n) batch ``T``, table b counted ``w[b]``
+        times (once without ``w``)."""
+        if w is None:
+            w = np.ones(len(T), dtype=np.int64)
+        self.classified += len(T)
         bits = signature_bits_bulk(T, self.props)
         for d in self.defs:
-            self.per_class[d.id] += int(d.is_member(bits).sum())
+            self.per_class[d.id] += int(w[d.is_member(bits)].sum())
             if d.proper_forbidden is not None:
-                self.per_proper[d.id] += int(d.is_proper(bits).sum())
+                self.per_proper[d.id] += int(w[d.is_proper(bits)].sum())
 
 
 def _batch_tables(
@@ -576,7 +639,10 @@ def _batch_tables(
     return T.reshape(idx.size, n, n)
 
 
-_CHUNK = 1 << 15
+#: Tables materialised per batch.  The leader test's one-hot codes take 8n
+#: bytes per cell and table, so the peak memory of a census grows with the
+#: batch while its time is flat from a few thousand tables up.
+_CHUNK = 1 << 13
 
 
 def _prefix_index(prefix: Sequence[int], n: int) -> int:
@@ -588,7 +654,8 @@ def _prefix_index(prefix: Sequence[int], n: int) -> int:
 
 def _census_unit(unit: WorkUnit) -> CensusReport:
     """Classify one unit: by pruned search if its space leaves residual
-    properties, else by materialising its contiguous index range."""
+    properties, else by materialising its contiguous index range and
+    classifying the orbit leaders of each batch."""
     n = unit.size
     props = (*unit.base.props, *unit.filter)
     fixed, residual = _space(n, props)
@@ -601,10 +668,15 @@ def _census_unit(unit: WorkUnit) -> CensusReport:
         lo = _prefix_index(unit.prefixes[0], n) * width
         hi = (_prefix_index(unit.prefixes[-1], n) + 1) * width
         for start in range(lo, hi, _CHUNK):
-            tally.add(_batch_tables(n, unit.base, start, min(start + _CHUNK, hi), unit.filter))
+            T = _batch_tables(n, unit.base, start, min(start + _CHUNK, hi), unit.filter)
+            w = _orbit_weights(T)
+            leaders = w > 0
+            tally.add(T[leaders], w[leaders])
         total = hi - lo
+    elapsed = time.perf_counter() - t0
     return CensusReport(
-        n, unit.base, total, tally.per_class, tally.per_proper, time.perf_counter() - t0, unit.filter
+        n, unit.base, total, tally.per_class, tally.per_proper, elapsed, unit.filter,
+        tally.classified,
     )
 
 

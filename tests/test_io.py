@@ -1,9 +1,11 @@
+import itertools
 import json
 import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tables
 
@@ -148,3 +150,29 @@ def test_isomorphism_equivalence_spot_checks():
             for c in ts:
                 if are_isomorphic(a, b) and are_isomorphic(b, c):
                     assert are_isomorphic(a, c)
+
+
+def _brute_force_isomorphic(t1, t2):
+    n = t1.size
+    c1, c2 = t1.cells, t2.cells
+    for perm in itertools.permutations(range(n - 1)):
+        p = perm + (n - 1,)
+        if all(p[c1[x][y]] == c2[p[x]][p[y]] for x in range(n) for y in range(n)):
+            return True
+    return False
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(tables(n, n), tables(n, n))), st.data())
+@settings(max_examples=150, deadline=None)
+def test_isomorphism_matches_brute_force(pair, data):
+    a, b = pair
+    assert are_isomorphic(a, b) == _brute_force_isomorphic(a, b)
+    perm = data.draw(st.permutations(range(a.size - 1))) + [a.size - 1]
+    image = _permuted(a, perm)
+    assert are_isomorphic(a, image) and _brute_force_isomorphic(a, image)
+    # one cell changed in the image: isomorphic exactly when brute force says so
+    x, y, v = (data.draw(st.integers(0, a.size - 1)) for _ in range(3))
+    rows = [list(r) for r in image.cells]
+    rows[x][y] = v
+    changed = Table.make(rows)
+    assert are_isomorphic(a, changed) == _brute_force_isomorphic(a, changed)

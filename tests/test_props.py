@@ -18,6 +18,7 @@ from implalg.classes import REGISTRY
 from implalg.props import (
     FORMULAS,
     _first_witness,
+    _holds,
     _masks,
     _violation_mask,
     find_zero_bulk,
@@ -196,6 +197,17 @@ def test_shared_plan_matches_single_formulas_and_oracle(T, subset, mixed):
         for f, viol in zip(formulas, _masks(formulas, T[rows], zero[rows])):
             got = viol.reshape(len(rows), -1).any(axis=1).tolist()
             assert got == [w is not None for w in _oracle_witnesses(T[rows], f.prop, zero[rows])]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_empty_batches(n):
+    T = np.zeros((0, n, n), dtype=np.int64)
+    bits = signature_bits_bulk(T, CORE_PROPS)
+    assert bits.shape == (0,) and bits.dtype == np.uint64
+    for prop in CORE_PROPS:
+        f = FORMULAS[prop]
+        assert _holds(f, T).shape == (0,)
+        assert _violation_mask(f, T).shape == (0,) + (n,) * f.arity
 
 
 def test_bounded_on_unbounded_is_inapplicable(e1):

@@ -1,5 +1,7 @@
 import itertools
+from collections import Counter
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from implalg.search import (
     _check_size,
     _check_unpruned,
     _compile_one,
+    _orbit_weights,
     census,
     census_filtered,
     enumerate_tables,
@@ -217,6 +220,97 @@ def test_census_shard_determinism_size4(shards):
     assert sharded.total == single.total == 262144
     assert sharded.per_class == single.per_class
     assert sharded.per_proper == single.per_proper
+
+
+@pytest.mark.parametrize("shards", [1, 2, 7])
+def test_census_classifies_each_orbit_once(shards):
+    # 43,968 relabeling orbits among the 262,144 size-4 RM tables, whatever
+    # the shard prefixes cut through
+    report = census(4, RM, shards=shards, jobs=2)
+    assert report.total == 262144
+    assert report.classified == 43968
+    assert report.to_record()["classified"] == 43968
+
+
+def _relabel_getters(n):
+    """Per relabeling p of 0..n-1 fixing n-1: p, and a getter of the source
+    cells of p(T) in row-major order, where p(T)[p(x)][p(y)] = p(T[x][y])."""
+    out = []
+    for perm in itertools.permutations(range(n - 1)):
+        p = perm + (n - 1,)
+        inv = [p.index(v) for v in range(n)]
+        src = [inv[u] * n + inv[v] for u in range(n) for v in range(n)]
+        out.append((p, itemgetter(*src) if len(src) > 1 else (lambda c, s=src[0]: (c[s],))))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n,base",
+    [(n, b) for n in (1, 2, 3) for b in (ANY, RM, RML)] + [(4, RM)],
+)
+def test_orbit_weights_match_canonical_forms(n, base):
+    # canonical form: the least relabeled cell tuple over all relabelings
+    T = _batch_tables(n, base, 0, n ** len(base.free_cells(n)))
+    getters = _relabel_getters(n)
+    cells = [tuple(row) for row in T.reshape(len(T), n * n).tolist()]
+    canon = [min(tuple(map(p.__getitem__, get(c))) for p, get in getters) for c in cells]
+    orbit_size = Counter(canon)
+    want = [orbit_size[k] if k == c else 0 for c, k in zip(cells, canon)]
+    w = _orbit_weights(T)
+    assert w.tolist() == want
+    assert w.sum() == len(T)
+
+
+@st.composite
+def _symmetric_batches(draw):
+    """Size-5 and size-6 tables, past the 53 bits one float64 code holds,
+    with leading all-1 rows so that images often agree on a long prefix and
+    automorphisms are common, each with a few of its relabeled images."""
+    n = draw(st.sampled_from([5, 6]))
+    lead = draw(st.integers(0, n - 1))
+    values = st.sampled_from([0, 1, n - 1]) if draw(st.booleans()) else st.integers(0, n - 1)
+    rows = [[n - 1] * n] * lead + [
+        draw(st.lists(values, min_size=n, max_size=n)) for _ in range(n - lead)
+    ]
+    getters = _relabel_getters(n)
+    cells = tuple(v for row in rows for v in row)
+    picks = draw(st.lists(st.integers(0, len(getters) - 1), min_size=1, max_size=4))
+    images = [tuple(map(getters[k][0].__getitem__, getters[k][1](cells))) for k in picks]
+    return n, getters, [cells, *images]
+
+
+@given(_symmetric_batches())
+@settings(max_examples=60, deadline=None)
+def test_orbit_weights_exact_past_53_bits(batch):
+    n, getters, tables = batch
+    want = []
+    for c in tables:
+        images = [tuple(map(p.__getitem__, get(c))) for p, get in getters]
+        want.append(len(images) // images.count(c) if min(images) == c else 0)
+    T = np.array(tables, dtype=np.int64).reshape(len(tables), n, n)
+    assert _orbit_weights(T).tolist() == want
+
+
+def _unweighted_counts(T, props=()):
+    """per_class and per_proper of the tables of the (B, n, n) batch that
+    satisfy ``props``, every table classified on its own."""
+    step = 1 << 15
+    bits = np.concatenate(
+        [signature_bits_bulk(T[i : i + step], CORE_PROPS) for i in range(0, len(T), step)]
+    )
+    bits = bits[(bits & _mask(props)) == _mask(props)]
+    per_class = {d.id: int(d.is_member(bits).sum()) for d in REGISTRY.defs}
+    per_proper = {
+        d.id: int(d.is_proper(bits).sum()) for d in REGISTRY.defs if d.proper_forbidden is not None
+    }
+    return len(bits), per_class, per_proper
+
+
+@pytest.mark.parametrize("base,props", [(RM, ()), (RML, (P.B, P.BB))])
+def test_weighted_census_equals_unweighted_classification_size4(base, props):
+    T = _batch_tables(4, base, 0, 4 ** len(base.free_cells(4)))
+    report = census(4, base, filter=props)
+    assert (report.total, report.per_class, report.per_proper) == _unweighted_counts(T, props)
 
 
 @pytest.mark.parametrize(
