@@ -324,7 +324,7 @@ def _search_counterexample(claim: Claim, hyps, conclusions, n: int):
             if not len(T):
                 return True
         if cdef is not None:
-            # the DFS already enforces the hypotheses
+            # the search already enforces the hypotheses
             rows = np.flatnonzero(_proper_mask(T, cdef, core_hyps))
             if rows.size:
                 hit.append((T[rows[0]], conclusions[0], ()))

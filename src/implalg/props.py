@@ -2,17 +2,17 @@
 
 Every axiom is stored once as a small term tree (variables, the constant 1,
 the zero of a bounded table, and the arrow operation) plus a formula shape:
-an equation, a Horn conditional, or a biconditional.  The same definition
-drives two consumers:
+an equation, a Horn conditional, or a biconditional.  One batch kernel
+evaluates the formulas over many tables and all assignments at once (numpy):
+a formula tuple is lowered once into a plan that computes each shared arrow
+subterm once, over flat uint8 cells, and frees it after its last reader.
 
-  * the batch kernel, which evaluates formulas over many tables and all
-    assignments at once (numpy): a formula tuple is lowered once into a plan
-    that computes each shared arrow subterm once, over flat uint8 cells, and
-    frees it after its last reader.  The census, every search leaf check
-    and every scalar verdict go through it; a verdict on one table
-    (``eval_property``, ``eval_all``, ``Formula.holds_at``, ``find_zero``) is
-    a one-table batch;
-  * instance compilation for the pruned enumerator (see search module).
+  * On complete tables it decides the census, every search leaf check and
+    every scalar verdict; a verdict on one table (``eval_property``,
+    ``eval_all``, ``Formula.holds_at``, ``find_zero``) is a one-table batch.
+  * On partial tables it is three-valued and prunes the search (see search
+    module): an unassigned cell holds the value n, and ``_dead_rows`` flags
+    the tables whose assigned cells already violate a formula.
 
 Witnesses are reported in the property's printed variable order (x, y, z),
 scanning x outermost, and elements in index order (the constant 1 last).
@@ -25,6 +25,7 @@ Every axiom is invariant under the relabelings of the elements that fix 1;
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -205,32 +206,60 @@ def _axes(n: int) -> tuple:
 
 
 def _masks(formulas: tuple, T: np.ndarray, zero_arr=None):
-    """Yield each formula's violation mask over the (B, n, n) batch ``T`` in
-    the (B, n, n, n) frame, whose axes past the formula's arity have size 1.
-    ``zero_arr`` is as for ``_violation_mask``.  A subterm's values are
-    dropped once its last reader has been yielded."""
+    """The one evaluation loop over ``_plan(formulas)``: yield each formula's
+    violation mask over the batch ``T`` in the (B, n, n, n) frame, whose axes
+    past the formula's arity have size 1.  A subterm's values are dropped
+    once its last reader has been yielded.
+
+    ``T`` holds complete tables, (B, n, n), or partial ones in the padded
+    layout of ``_dead_rows``, (B, (n+1)**2); a partial table's premise and
+    conclusion sides count only where they are known.  ``zero_arr`` is as
+    for ``_violation_mask``."""
     steps, reads = _plan(formulas)
     if zero_arr is None and _LEAVES.index(ZERO) in reads:
         raise ValueError("formula needs a zero element")
-    B, n, _ = T.shape
+    B = len(T)
+    partial = T.ndim == 2
+    stride = math.isqrt(T.shape[1]) if partial else T.shape[1]
+    n = stride - 1 if partial else stride
     one = n - 1
     # cells in the narrowest type that holds them; flat indices in intp
-    flat = T.astype(np.min_scalar_type(one)).ravel()
-    rows = np.arange(0, B * n, n).reshape(B, 1, 1, 1)
+    flat = T.astype(np.min_scalar_type(n)).ravel()
+    rows = np.arange(0, B * stride, stride).reshape(B, 1, 1, 1)
     zero = None if zero_arr is None else np.asarray(zero_arr).reshape(-1, 1, 1, 1)
     env = dict(enumerate((*_axes(n), one, zero)))
     for ops, kind, premises, (ca, cb), last_read in steps:
         for r, left, right in ops:
-            env[r] = flat.take((rows + env[left]) * n + env[right])
+            env[r] = flat.take((rows + env[left]) * stride + env[right])
         if kind == "iff":
             viol = (env[ca] == one) != (env[cb] == one)
         else:
             viol = env[ca] != env[cb]
+            if partial:  # the value n is unknown
+                viol = viol & (env[ca] != n) & (env[cb] != n)
             for pa, pb in premises:
                 viol = viol & (env[pa] == env[pb])
+                if partial:
+                    viol = viol & (env[pa] != n)
         yield viol
         for r in last_read:
             del env[r]
+
+
+def _dead_rows(formulas: tuple, P: np.ndarray) -> np.ndarray:
+    """Per partial table of the (B, (n+1)**2) uint8 batch ``P``: is it dead,
+    that is, do its assigned cells already violate one of ``formulas``, so
+    that no completion satisfies them all?
+
+    A partial size-n table is padded to (n+1) x (n+1) cells, row-major, where
+    the value n means "unassigned" and row n and column n hold n, so an
+    unknown operand reads an unknown value.  A table is dead when, at some
+    assignment, every premise has both sides known and equal and the
+    conclusion has both sides known and different."""
+    dead = np.zeros(len(P), dtype=bool)
+    for viol in _masks(formulas, P):
+        dead |= _any_per_table(viol)
+    return dead
 
 
 def _violation_mask(formula: Formula, T: np.ndarray, zero_arr=None) -> np.ndarray:

@@ -2,22 +2,23 @@
 
 Every search runs over the tables of one size that satisfy a set of
 properties.  ``_space`` splits that set in two: (Re), (M) and (L) are each
-a pattern of pinned cells, and the rest is the residual that the DFS prunes
-with.  A shard prefix pins the first free cells as well.  A
+a pattern of pinned cells, and the rest is the residual that the search
+prunes with.  A shard prefix pins the first free cells as well.  A
 ``BaseConstraint`` is a name for one of the paper's base sets, so
 ``census(n, ANY, filter={Re, M})`` and ``census(n, RM)`` search one space.
 
-The enumerator assigns free cells row-major, depth-first, values in ascending
-order, so single-worker visitation is globally lexicographic.  Residual
-properties are compiled into per-assignment *instances*, closures that all
-answer with one code (violated, satisfied, or the cell they are blocked on);
-an instance is re-evaluated exactly when the cell it is blocked on gets
-assigned (a pending list per search depth, with trail-based undo), so a
-partial table is abandoned as soon as any fully-assigned instance is violated.
-The search stops early only when its leaf callback returns False.
+The search runs the props module's batch kernel on partial tables.  It fills
+the free cells in row-major order over a frontier of partial tables: each
+table of the frontier becomes n tables, one per value of the next cell in
+ascending order, the kernel drops the dead ones (those whose assigned cells
+already violate a residual formula at some assignment), and the search goes
+on depth-first over chunks of FRONTIER survivors.  So the tables come out in
+lexicographic order, and a partial table is abandoned as soon as its assigned
+cells decide a violation.  The search stops early only when its leaf
+callback returns False.
 
 Leaf checks are batched: ``_search_batched`` takes a property set, derives
-the space of each shard prefix, collects the DFS leaves into buffers of
+the space of each shard prefix, collects the leaves into buffers of
 LEAF_BUFFER tables and hands each buffer, in visitation order, to a consumer
 that decides all of its tables at once with the numpy masks of the props
 module.  Censuses with a residual, ``find_minimal_model`` and the claims
@@ -41,18 +42,19 @@ seen exactly once.  A pruned census classifies every leaf it visits.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .core import BOUNDED_PROPS, ClassDef, PropertyId, Table, default_names, signature_mask
 from .classes import REGISTRY, ClassRegistry, UnknownClass
-from .props import FORMULAS, needed_props, relabelings, signature_bits_bulk
+from .props import FORMULAS, _dead_rows, needed_props, relabelings, signature_bits_bulk
 
 __all__ = [
     "SizeTooLarge",
@@ -115,7 +117,7 @@ def _space(
 ) -> tuple[dict[int, int], tuple[PropertyId, ...]]:
     """The search space of the size-n tables satisfying ``props``, as the
     cells pinned by the (Re), (M) and (L) among them and the residual
-    properties, in their given order, which the DFS prunes with.
+    properties, in their given order, which the search prunes with.
 
     A shard ``prefix`` pins the first free cells of that space, in row-major
     order, to its values."""
@@ -192,186 +194,61 @@ def _check_unpruned(n: int, props: Iterable[PropertyId]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Instance compilation.
-#
-# A compiled instance is a closure over the flat cell list that returns
-#   -1  violated,
-#   -2  satisfied (possibly vacuously) for the rest of this subtree,
-#   c>=0 undecidable until flat cell c is assigned.
-# A compiled term equality returns the same codes (-1 fails, -2 holds), so an
-# equation instance is its conclusion closure and a Horn instance only adds
-# its premises.  Terms are constant-folded against the concrete variable
-# assignment, so a fully constant instance disappears at compile time.
+# Frontier search over partial tables.
 # ---------------------------------------------------------------------------
-
-
-def _compile_term(term, assignment, n: int):
-    """Return either an int (constant value) or a closure cells -> value,
-    where a negative closure result -(c+1) means blocked on cell c."""
-    kind = term[0]
-    if kind == "var":
-        return assignment[term[1]]
-    if kind == "one":
-        return n - 1
-    if kind == "zero":
-        raise ValueError("bounded-only properties cannot be used as search filters")
-    a = _compile_term(term[1], assignment, n)
-    b = _compile_term(term[2], assignment, n)
-    if isinstance(a, int) and isinstance(b, int):
-        flat = a * n + b
-
-        def f_const(cells, flat=flat):
-            v = cells[flat]
-            return v if v >= 0 else -flat - 1
-
-        return f_const
-    fa = a if callable(a) else None
-    fb = b if callable(b) else None
-
-    def f(cells, fa=fa, fb=fb, a=a, b=b, n=n):
-        va = fa(cells) if fa is not None else a
-        if va < 0:
-            return va
-        vb = fb(cells) if fb is not None else b
-        if vb < 0:
-            return vb
-        flat = va * n + vb
-        v = cells[flat]
-        return v if v >= 0 else -flat - 1
-
-    return f
-
-
-def _compile_pair(pair, assignment, n):
-    """Compile a term equality into a bool, when both sides are constant, or
-    a closure that returns the instance codes: -2 when the equality holds,
-    -1 when it fails, and the flat cell index (>= 0) it is blocked on."""
-    ta, tb = pair
-    ca = _compile_term(ta, assignment, n)
-    cb = _compile_term(tb, assignment, n)
-    if isinstance(ca, int) and isinstance(cb, int):
-        return ca == cb
-
-    def g(cells, ca=ca, cb=cb, call_a=callable(ca), call_b=callable(cb)):
-        va = ca(cells) if call_a else ca
-        if va < 0:
-            return -va - 1
-        vb = cb(cells) if call_b else cb
-        if vb < 0:
-            return -vb - 1
-        return -2 if va == vb else -1
-
-    return g
 
 
 def compile_instances(props: Iterable[PropertyId], n: int) -> list:
-    """All non-trivial instance closures of the given properties at size n."""
-    out = []
-    for prop in props:
-        formula = FORMULAS[prop]
-        if formula.uses_zero or formula.kind == "iff":
-            raise UnsupportedFilter(f"{prop} cannot be used as a search filter")
-        arity = formula.arity
-        assignments = np.indices((n,) * arity).reshape(arity, -1).T
-        for row in assignments:
-            assignment = tuple(int(v) for v in row)
-            inst = _compile_one(formula, assignment, n)
-            if inst is not None:
-                out.append(inst)
-    return out
+    """The formulas of ``props`` that a search of the size-n tables prunes
+    with, in the given order.  They do not depend on n: the three-valued
+    kernel evaluates each one at all assignments at once."""
+    props = tuple(props)
+    _check_filter(props)
+    return [FORMULAS[p] for p in props]
 
 
-def _compile_one(formula, assignment, n: int):
-    premises = []
-    for pair in formula.premises:
-        premise = _compile_pair(pair, assignment, n)
-        if premise is False:
-            return None  # vacuously satisfied forever
-        if premise is not True:  # an always-true premise is dropped
-            premises.append(premise)
-    conclusion = _compile_pair(formula.conclusion, assignment, n)
-    if conclusion is True:
-        return None  # conclusion always true
-    if conclusion is False:
-        if not premises:
-            raise ValueError(f"{formula.prop} instance {assignment} is unsatisfiable")
-        conclusion = None  # conclusion constant-false: violated iff premises hold
-    elif not premises:
-        return conclusion
-
-    def inst_horn(cells, premises=tuple(premises), conclusion=conclusion):
-        for p in premises:
-            r = p(cells)
-            if r == -1:
-                return -2  # a premise fails: vacuous
-            if r >= 0:
-                return r
-        return -1 if conclusion is None else conclusion(cells)
-
-    return inst_horn
-
-
-# ---------------------------------------------------------------------------
-# Depth-first enumeration with per-cell pending lists.
-# ---------------------------------------------------------------------------
+#: Partial tables per recursion step of the frontier search.  Exhaustive
+#: searches run as fast with a few thousand, but a search that stops at its
+#: first hit would first build the whole wide frontier around it.
+FRONTIER = 64
 
 
 def _dfs(n: int, fixed: dict[int, int], filter_props: Sequence[PropertyId], leaf_fn) -> int:
     """Count the tables that extend ``fixed`` and satisfy ``filter_props``,
     in lexicographic order of the free cells.  ``leaf_fn``, if given, sees
-    each one's flat cell list and stops the search by returning False."""
-    cells = [-1] * (n * n)
-    for c, v in fixed.items():
-        cells[c] = v
-    free = [c for c in range(n * n) if c not in fixed]
-    nfree = len(free)
-    pos_of = {c: d for d, c in enumerate(free)}
-    pend: list[list] = [[] for _ in range(nfree)]
+    each one's flat cell list and stops the search by returning False.
 
-    # Root pass: every instance is either decided now or parked on the first
-    # unassigned cell its evaluation needs.
-    for inst in compile_instances(filter_props, n):
-        r = inst(cells)
-        if r == -1:
-            return 0
-        if r >= 0:
-            pend[pos_of[r]].append(inst)
-
-    trail: list[int] = []
-
-    def assign(d: int, v: int) -> bool:
-        """Set free cell d to v; False if some instance is now violated."""
-        cells[free[d]] = v
-        for inst in pend[d]:
-            r = inst(cells)
-            if r == -1:
-                return False
-            if r >= 0:
-                p = pos_of[r]
-                pend[p].append(inst)
-                trail.append(p)
-        return True
-
+    The free cells are filled in row-major order over a frontier of padded
+    partial tables (``props._dead_rows``): each table becomes n, one per
+    value in ascending order, the dead ones are dropped and the rest are
+    searched on in chunks of FRONTIER tables."""
+    formulas = tuple(compile_instances(filter_props, n))
+    padded = np.arange(n * n) + np.arange(n * n) // n  # cell c's index, padded
+    root = np.full((1, (n + 1) ** 2), n, dtype=np.uint8)
+    root[0, padded[list(fixed)]] = list(fixed.values())
+    slots = [padded[c] for c in range(n * n) if c not in fixed]
     count = 0
 
-    def rec(d: int) -> bool:
+    def rec(frontier: np.ndarray, d: int) -> bool:
         nonlocal count
-        if d == nfree:
-            count += 1
-            return leaf_fn(cells) if leaf_fn is not None else True
-        sp = len(trail)
-        go_on = True
-        for v in range(n):
-            if assign(d, v):
-                go_on = rec(d + 1)
-            while len(trail) > sp:
-                pend[trail.pop()].pop()
-            if not go_on:
-                break
-        cells[free[d]] = -1
-        return go_on
+        if d == len(slots):
+            if leaf_fn is None:
+                count += len(frontier)
+                return True
+            for cells in frontier[:, padded].tolist():
+                count += 1
+                if not leaf_fn(cells):
+                    return False
+            return True
+        children = np.repeat(frontier, n, axis=0)
+        children[:, slots[d]] = np.tile(np.arange(n), len(frontier))
+        children = children[~_dead_rows(formulas, children)]
+        return all(
+            rec(children[lo : lo + FRONTIER], d + 1) for lo in range(0, len(children), FRONTIER)
+        )
 
-    rec(0)
+    if not _dead_rows(formulas, root)[0]:
+        rec(root, 0)
     return count
 
 
@@ -387,33 +264,32 @@ def _search_batched(
     consume: Callable[[np.ndarray], bool],
     prefixes: Sequence[Sequence[int]] = ((),),
 ) -> int:
-    """Run the pruned DFS over the size-n tables satisfying ``props``, in the
-    space pinned by each of ``prefixes`` in turn, and hand its leaves to
-    ``consume`` in visitation order, as (B, n, n) int64 arrays of
+    """Run the frontier search over the size-n tables satisfying ``props``,
+    in the space pinned by each of ``prefixes`` in turn, and hand its leaves
+    to ``consume`` in lexicographic order, as (B, n, n) int64 arrays of
     LEAF_BUFFER tables (the last one may be shorter).
 
     ``consume`` returns False to stop the search.  Returns the number of
     leaves visited, which includes the rest of the buffer that stopped it.
+    The kernel prunes the search with the residual properties only; the
+    consumer decides everything else about each leaf.
     """
-    buf: list[int] = []
-    width = LEAF_BUFFER * n * n
+    buf: list[list[int]] = []
     stopped = False
 
     def flush() -> bool:
         nonlocal stopped
-        T = np.array(buf, dtype=np.int64).reshape(-1, n, n)
+        stopped = consume(np.array(buf, dtype=np.int64).reshape(-1, n, n)) is False
         buf.clear()
-        stopped = consume(T) is False
         return not stopped
 
     def leaf(cells) -> bool:
-        buf.extend(cells)
-        return len(buf) < width or flush()
+        buf.append(cells)
+        return len(buf) < LEAF_BUFFER or flush()
 
     count = 0
     for prefix in prefixes:
-        fixed, residual = _space(n, props, prefix)
-        count += _dfs(n, fixed, residual, leaf)
+        count += _dfs(n, *_space(n, props, prefix), leaf)
         if stopped:
             return count
     if buf:
@@ -461,7 +337,8 @@ def enumerate_tables(
 @dataclass(frozen=True)
 class WorkUnit:
     """A disjoint share of the space of ``size`` tables satisfying ``base``
-    and ``filter``: assignments of its first ``len(prefixes[0])`` free cells."""
+    and ``filter``: the tables whose first ``len(prefixes[0])`` free cells
+    hold one of ``prefixes``."""
 
     size: int
     base: BaseConstraint
@@ -475,9 +352,11 @@ def partition_work(
     """Split the space of ``base`` and ``filter`` into ``shards`` disjoint
     covering units.
 
-    Uses the shortest prefix length j with size**j >= shards (at most the
-    number of free cells) and deals the size**j lexicographic prefixes out
-    contiguously.
+    One shard takes the whole space, prefix ``()``.  More use the shortest
+    prefix length j with size**j >= 16 * shards (at most the number of free
+    cells) and deal the size**j lexicographic prefixes out round-robin, so
+    that each unit gets some of the low prefixes, where the orbit leaders of
+    a census crowd, and some of the high ones.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
@@ -485,19 +364,11 @@ def partition_work(
     filter_props = tuple(filter)
     nfree = size * size - len(_space(size, (*base.props, *filter_props))[0])
     j = 0
-    while size**j < shards and j < nfree:
+    while shards > 1 and size**j < 16 * shards and j < nfree:
         j += 1
-    total = size**j
-    shards = min(shards, total)
-    prefixes = [
-        tuple((idx // size ** (j - 1 - k)) % size for k in range(j)) for idx in range(total)
-    ]
-    units = []
-    for w in range(shards):
-        lo = w * total // shards
-        hi = (w + 1) * total // shards
-        units.append(WorkUnit(size, base, tuple(prefixes[lo:hi]), filter_props))
-    return units
+    shards = min(shards, size**j)
+    prefixes = list(itertools.product(range(size), repeat=j))  # lexicographic
+    return [WorkUnit(size, base, tuple(prefixes[w::shards]), filter_props) for w in range(shards)]
 
 
 # ---------------------------------------------------------------------------
@@ -629,14 +500,12 @@ def _batch_tables(
     pinned by ``base`` and ``filter``, as (B, n, n)."""
     fixed, _ = _space(n, (*base.props, *filter))
     free = [c for c in range(n * n) if c not in fixed]
-    nfree = len(free)
     idx = np.arange(lo, hi, dtype=np.int64)
     T = np.empty((idx.size, n * n), dtype=np.int64)
-    for c, v in fixed.items():
-        T[:, c] = v
+    T[:, list(fixed)] = list(fixed.values())
     for k, c in enumerate(free):
-        T[:, c] = (idx // n ** (nfree - 1 - k)) % n
-    return T.reshape(idx.size, n, n)
+        T[:, c] = idx // n ** (len(free) - 1 - k) % n
+    return T.reshape(-1, n, n)
 
 
 #: Tables materialised per batch.  The leader test's one-hot codes take 8n
@@ -645,17 +514,10 @@ def _batch_tables(
 _CHUNK = 1 << 13
 
 
-def _prefix_index(prefix: Sequence[int], n: int) -> int:
-    idx = 0
-    for v in prefix:
-        idx = idx * n + v
-    return idx
-
-
 def _census_unit(unit: WorkUnit) -> CensusReport:
     """Classify one unit: by pruned search if its space leaves residual
-    properties, else by materialising its contiguous index range and
-    classifying the orbit leaders of each batch."""
+    properties, else by materialising the index range of each of its
+    prefixes and classifying the orbit leaders of each batch."""
     n = unit.size
     props = (*unit.base.props, *unit.filter)
     fixed, residual = _space(n, props)
@@ -664,15 +526,17 @@ def _census_unit(unit: WorkUnit) -> CensusReport:
     if residual:
         total = _search_batched(n, props, tally.add, unit.prefixes)
     else:
-        width = n ** (n * n - len(fixed) - len(unit.prefixes[0]))
-        lo = _prefix_index(unit.prefixes[0], n) * width
-        hi = (_prefix_index(unit.prefixes[-1], n) + 1) * width
-        for start in range(lo, hi, _CHUNK):
-            T = _batch_tables(n, unit.base, start, min(start + _CHUNK, hi), unit.filter)
-            w = _orbit_weights(T)
-            leaders = w > 0
-            tally.add(T[leaders], w[leaders])
-        total = hi - lo
+        j = len(unit.prefixes[0])
+        width = n ** (n * n - len(fixed) - j)
+        for prefix in unit.prefixes:
+            lo = int(np.ravel_multi_index(prefix, (n,) * j)) * width
+            hi = lo + width
+            for start in range(lo, hi, _CHUNK):
+                T = _batch_tables(n, unit.base, start, min(start + _CHUNK, hi), unit.filter)
+                w = _orbit_weights(T)
+                leaders = w > 0
+                tally.add(T[leaders], w[leaders])
+        total = width * len(unit.prefixes)
     elapsed = time.perf_counter() - t0
     return CensusReport(
         n, unit.base, total, tally.per_class, tally.per_proper, elapsed, unit.filter,
@@ -704,9 +568,7 @@ def census(
             parts = list(pool.map(_census_unit, units))
     else:
         parts = [_census_unit(u) for u in units]
-    report = parts[0]
-    for p in parts[1:]:
-        report = report.merged_with(p)
+    report = reduce(CensusReport.merged_with, parts)
     report.elapsed = time.perf_counter() - t0
     return report
 

@@ -177,6 +177,13 @@ def test_budgets_checked_before_the_pool(monkeypatch):
         verify_all({"th2": 3, "p2.1-0": 4}, todo, jobs=2)
 
 
+def test_tables_examined_per_size_are_pinned():
+    # a non-implication stops at its first counterexample but counts the
+    # whole leaf buffer it was found in; a theorem examines every table
+    assert verify_claim("ni-b-not-bb").tables_examined == {1: 1, 2: 2, 3: 13, 4: 256}
+    assert verify_claim("th4.ii").tables_examined == {1: 1, 2: 2, 3: 13, 4: 447}
+
+
 def test_bounded_claims_skip_unbounded_tables():
     # a deliberately false bounded claim: DN on every bounded table
     bogus = Claim("bogus-dn", frozenset(), (P.DN,), bounded_only=True)

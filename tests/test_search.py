@@ -15,16 +15,17 @@ from implalg import PropertyId as P
 from implalg import Table
 from implalg.classes import REGISTRY
 from implalg.core import CORE_PROPS, signature_bit
-from implalg.props import FORMULAS, signature_bits_bulk
+from implalg.props import FORMULAS, X, Y, Formula, _dead_rows, _holds, arr, signature_bits_bulk
 from implalg.search import (
+    FRONTIER,
     BaseConstraint,
     CallbackAbort,
     SizeTooLarge,
     UnsupportedFilter,
     _batch_tables,
+    _census_unit,
     _check_size,
     _check_unpruned,
-    _compile_one,
     _orbit_weights,
     census,
     census_filtered,
@@ -101,24 +102,66 @@ def test_pruned_equals_naive_combined_filters(props):
     assert pruned == _naive_filter_tables(3, ANY, list(props))
 
 
+#: The formulas a search prunes with: every core one but the biconditionals,
+#: and a Horn formula whose premise, unlike the core ones, may have two
+#: unknown sides: x -> y = y -> x implies x = y.
+_PRUNABLE = [
+    FORMULAS[p] for p in CORE_PROPS if FORMULAS[p].kind != "iff" and not FORMULAS[p].uses_zero
+] + [Formula(P.An, 2, "horn", ((arr(X, Y), arr(Y, X)),), (X, Y))]
+
+
+def _value3(term, a, cells, n):
+    """Value of ``term`` at assignment ``a`` over partial flat ``cells``
+    (None where unassigned), or None when it reads an unassigned cell."""
+    if term[0] == "var":
+        return a[term[1]]
+    if term[0] == "one":
+        return n - 1
+    left, right = _value3(term[1], a, cells, n), _value3(term[2], a, cells, n)
+    return None if left is None or right is None else cells[left * n + right]
+
+
+def _dead3(formula, cells, n) -> bool:
+    """Does some assignment make every premise known and true and both
+    conclusion sides known and different?"""
+    for a in itertools.product(range(n), repeat=formula.arity):
+        sides = [[_value3(t, a, cells, n) for t in pair] for pair in formula.premises]
+        if all(u is not None and u == v for u, v in sides):
+            u, v = (_value3(t, a, cells, n) for t in formula.conclusion)
+            if u is not None and v is not None and u != v:
+                return True
+    return False
+
+
+def _padded(cells, n):
+    """Flat partial cells (None unassigned) in the kernel's (n+1)^2 layout."""
+    grid = np.full((n + 1, n + 1), n, dtype=np.uint8)
+    for c, v in enumerate(cells):
+        if v is not None:
+            grid[c // n, c % n] = v
+    return grid.ravel()
+
+
 @given(table=tables(max_size=4), data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_compiled_instances_answer_with_the_instance_codes(table, data):
-    # -2 holds, -1 fails on a full table; on a partial one, the same code
-    # or the index of an unassigned cell the instance is blocked on
+@settings(max_examples=60, deadline=None)
+def test_dead_rows_match_a_three_valued_reference(table, data):
+    # one batch of the complete table and a partial copy with some holes
     n = table.size
     cells = [v for row in table.cells for v in row]
-    holes = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
-    partial = [-1 if hole else v for v, hole in zip(cells, holes)]
-    for prop in CORE_PROPS:
-        formula = FORMULAS[prop]
-        for a in itertools.product(range(n), repeat=formula.arity):
-            inst = _compile_one(formula, a, n)
-            code = -2 if inst is None else inst(cells)
-            assert code == (-2 if formula.holds_at(table, a) else -1), (prop, a)
-            if inst is not None:
-                r = inst(partial)
-                assert r == code or (r >= 0 and partial[r] == -1), (prop, a, r)
+    holes = data.draw(st.permutations(range(n * n)))[: data.draw(st.integers(0, n * n))]
+    partial = [None if c in holes else v for c, v in enumerate(cells)]
+    batch = np.stack([_padded(cells, n), _padded(partial, n)])
+    T = np.asarray([table.cells])
+    for formula in _PRUNABLE:
+        dead_full, dead_partial = _dead_rows((formula,), batch)
+        assert dead_full == (not _holds(formula, T)[0]), formula.prop
+        assert dead_partial == _dead3(formula, partial, n), (formula.prop, partial)
+        if dead_partial and len(holes) <= 4:
+            # a dead partial table has no completion that satisfies the formula
+            fills = np.array(list(itertools.product(range(n), repeat=len(holes))), dtype=np.int64)
+            completions = np.tile(np.asarray(cells), (len(fills), 1))
+            completions[:, sorted(holes)] = fills
+            assert not _holds(formula, completions.reshape(-1, n, n)).any(), formula.prop
 
 
 def test_filtered_enumeration_under_bases():
@@ -143,6 +186,22 @@ def test_visitor_abort_partial_count():
     hits.clear()
     count = enumerate_tables(3, RM, visitor=lambda t: not hits.append(t) and False)
     assert count == 1 and len(hits) == 1  # False return stops after the first
+
+
+def test_frontier_chunk_boundaries():
+    # a visitor that stops at leaf k, on either side of a frontier chunk,
+    # has seen exactly the first k tables of the unstopped run
+    everything = []
+    assert enumerate_tables(4, RM, {P.B}, visitor=lambda t: everything.append(t.cells)) == 447
+    for k in (FRONTIER - 1, FRONTIER, FRONTIER + 1, 200):
+        seen = []
+
+        def stop_at_k(t):
+            seen.append(t.cells)
+            return len(seen) < k
+
+        assert enumerate_tables(4, RM, {P.B}, visitor=stop_at_k) == k
+        assert seen == everything[:k]
 
 
 def test_size_caps():
@@ -170,13 +229,28 @@ def test_size_caps():
 def test_partition_work_spec_shapes():
     units = partition_work(3, RM, 1)
     assert len(units) == 1 and units[0].prefixes == ((),)
+    # 3 shards of the 4 free cells: 3^4 >= 16 * 3, so all 81 full prefixes,
+    # dealt out round-robin
     units = partition_work(3, RM, 3)
-    assert [u.prefixes for u in units] == [((0,),), ((1,),), ((2,),)]
-    units = partition_work(5, RML, 25)
+    every = list(itertools.product(range(3), repeat=4))
+    assert [u.prefixes for u in units] == [tuple(every[w::3]) for w in range(3)]
+    units = partition_work(5, RML, 25)  # 5^4 >= 16 * 25
     assert len(units) == 25
-    assert all(len(u.prefixes) == 1 and len(u.prefixes[0]) == 2 for u in units)
-    flat = [p for u in units for p in u.prefixes]
-    assert flat == sorted(set(flat)) and len(flat) == 25
+    assert all(len(u.prefixes) == 25 and {len(p) for p in u.prefixes} == {4} for u in units)
+    assert units[1].prefixes[:2] == ((0, 0, 0, 1), (0, 1, 0, 1))  # indices 1 and 26
+    flat = sorted(p for u in units for p in u.prefixes)
+    assert flat == sorted(set(flat)) == list(itertools.product(range(5), repeat=4))
+    # a space with fewer prefixes than shards gets one unit per prefix
+    assert [u.prefixes for u in partition_work(2, RM, 5)] == [((0,),), ((1,),)]
+
+
+@pytest.mark.parametrize("shards", [2, 4])
+def test_partition_work_balances_orbit_leaders(shards):
+    # round-robin prefixes spread the leaders, which crowd into the low ones
+    reports = [_census_unit(u) for u in partition_work(4, RM, shards)]
+    leaders = [r.classified for r in reports]
+    assert sum(leaders) == 43968 and sum(r.total for r in reports) == 4**9
+    assert max(leaders) <= 2 * min(leaders), leaders
 
 
 def test_partition_units_cover_space_disjointly():
@@ -185,7 +259,7 @@ def test_partition_units_cover_space_disjointly():
         everything = []
         enumerate_tables(3, base, props, visitor=lambda t: everything.append(t.cells))
         units = partition_work(3, base, 7, props)
-        prefixes = [prefix for u in units for prefix in u.prefixes]
+        prefixes = sorted(prefix for u in units for prefix in u.prefixes)
         counts = []
         seen = []
         for prefix in prefixes:
